@@ -15,8 +15,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NegativeComponent, NotApplicable, SingularPivot, TooLarge
-from .matrices import (SymMatrix, as_sym, comparison_matrix,
-                       irreducible_components, is_pd, is_psd, tridiag_solve)
+from .matrices import (SymMatrix, as_sym, comparison_matrix, definiteness,
+                       irreducible_components, is_psd, tridiag_solve)
 from .tolerances import TOL_D_POSITIVE, TOL_KERNEL, TOL_PSD
 
 SUBSET_GUARD = 10 ** 6
@@ -173,12 +173,15 @@ def blockwise_dominance_vector(m) -> np.ndarray:
 
 def classify(m, k_max: int = 2) -> ClassReport:
     """Full membership report; k_level search capped at ``k_max``."""
-    raw = np.asarray(m.full() if isinstance(m, SymMatrix) else m, dtype=float)
-    symmetric = bool(raw.ndim == 2 and raw.shape[0] == raw.shape[1]
-                     and np.array_equal(raw, raw.T))
+    if isinstance(m, SymMatrix):
+        symmetric = True  # symmetric by construction; m.full() would densify banded storage
+    else:
+        raw = np.asarray(m, dtype=float)
+        symmetric = bool(raw.ndim == 2 and raw.shape[0] == raw.shape[1]
+                         and np.array_equal(raw, raw.T))
     m = as_sym(m)
     blocks = irreducible_components(m)
-    psd = is_psd(m)
+    psd, pd = definiteness(m)
     sbar = is_in_sbar_plus(m)
     k_level: int | None = None
     if sbar:
@@ -201,7 +204,7 @@ def classify(m, k_max: int = 2) -> ClassReport:
         is_symmetric=symmetric,
         is_z=is_z_matrix(m),
         is_psd=psd,
-        is_pd=is_pd(m),
+        is_pd=pd,
         is_sbar_plus=sbar,
         is_irreducible=len(blocks) == 1,
         blocks=blocks,

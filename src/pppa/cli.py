@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .classify import blockwise_dominance_vector, build_parametric_vector, classify
+from .classify import classify
 from .errors import PppaError
 from .generate import GENERATOR_ID, GenSpec, generate
 from .oracle import ORACLE_MAX_N, enumerate_active_sets, kkt_residual, recession_check
@@ -62,11 +62,9 @@ def _solve_with_method(instance: QpInstance, method) -> SolveOutcome:
         return solve_sbar_nk(instance, k)
     if name == "pd":
         report = classify(instance.m, k_max=0)
-        if not (report.is_pd and report.is_sbar_plus):
+        if not (report.is_pd and report.is_sbar_plus and report.p is not None):
             raise PppaError("method pd requires a positive definite comparison-psd matrix")
-        d = blockwise_dominance_vector(instance.m)
-        p = build_parametric_vector(instance.m, d)
-        return solve_pd(instance, p)
+        return solve_pd(instance, report.p)
     # auto: classify, then route by the smallest verified class level.
     report = classify(instance.m, k_max=2)
     if report.k_level == 0:

@@ -176,6 +176,26 @@ def _complement(n: int, alpha: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
+def _pivoted_cholesky(a: np.ndarray, stop_tol: float):
+    """Diagonal-pivoted Cholesky factorization by LAPACK ``dpstrf``.
+
+    Elimination stops at the first pivot ``<= stop_tol``; the columns
+    computed before the stop do not depend on ``stop_tol``.  Returns
+    ``(l, perm, rank)``: ``l[:, :rank]`` holds the lower factor of
+    ``a[perm][:, perm]``.  ``dpstrf`` leaves the trailing block only
+    partly updated, so read it through :func:`_trailing_block`.
+    """
+    l, piv, rank, _ = scipy.linalg.lapack.dpstrf(a, tol=stop_tol, lower=1)
+    return l, piv - 1, int(rank)
+
+
+def _trailing_block(a: np.ndarray, l: np.ndarray, perm: np.ndarray, r: int) -> np.ndarray:
+    """Schur complement of the leading r pivots: A[p, p] - L21 L21' over the rest p."""
+    rest = perm[r:]
+    l21 = l[r:, :r]
+    return a[np.ix_(rest, rest)] - l21 @ l21.T
+
+
 def _pivoted_cholesky_pivots(a: np.ndarray, stop_tol: float):
     """Diagonal-pivoted Cholesky elimination.
 
@@ -183,22 +203,8 @@ def _pivoted_cholesky_pivots(a: np.ndarray, stop_tol: float):
     pivot values in elimination order and ``remaining`` is the
     untouched trailing block (empty when elimination completed).
     """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    pivots = []
-    for k in range(n):
-        d = np.diagonal(a)[k:]
-        j = k + int(np.argmax(d))
-        if a[j, j] <= stop_tol:
-            return np.array(pivots), a[k:, k:]
-        if j != k:
-            a[[k, j], :] = a[[j, k], :]
-            a[:, [k, j]] = a[:, [j, k]]
-        piv = a[k, k]
-        pivots.append(piv)
-        col = a[k + 1:, k] / piv
-        a[k + 1:, k + 1:] -= np.outer(col, a[k + 1:, k])
-    return np.array(pivots), a[n:, n:]
+    l, perm, rank = _pivoted_cholesky(a, stop_tol)
+    return np.diagonal(l)[:rank] ** 2, _trailing_block(a, l, perm, rank)
 
 
 def _banded_psd(diag: np.ndarray, sub: np.ndarray, tol_abs: float) -> bool:
@@ -221,41 +227,53 @@ def _banded_psd(diag: np.ndarray, sub: np.ndarray, tol_abs: float) -> bool:
     return True
 
 
-def is_psd(m, tol: float = TOL_PSD) -> bool:
-    """Positive semidefiniteness via diagonal-pivoted Cholesky.
+def _banded_pd(diag: np.ndarray, sub: np.ndarray, tol_abs: float) -> bool:
+    t = 0.0
+    for k in range(diag.size):
+        t = diag[k] - (sub[k - 1] ** 2 / t if k > 0 else 0.0)
+        if t <= tol_abs:
+            return False
+    return True
 
-    Accepts pivots down to ``-tol * scale(M)``; when no positive pivot
-    remains, the untouched block must be negligibly small.
+
+def definiteness(m, psd_tol: float = TOL_PSD, pd_tol: float = TOL_PIVOT) -> tuple[bool, bool]:
+    """``(is_psd(m, psd_tol), is_pd(m, pd_tol))`` from one factorization.
+
+    Dense input is factored once, stopped at the smaller threshold.
+    The psd test cuts that factor at its first pivot ``<= psd_tol *
+    scale``, which is where a factorization stopped at that threshold
+    would end, and accepts when the block left there is within ``10 *
+    psd_tol * scale``.  pd requires every pivot above ``pd_tol * scale``.
     """
     m = as_sym(m)
     if m.n == 0:
-        return True
-    tol_abs = tol * m.scale()
+        return True, True
+    psd_abs, pd_abs = psd_tol * m.scale(), pd_tol * m.scale()
     if m.tridiagonal and m._dense is None:
         d, e = m.band()
-        return _banded_psd(d, e, tol_abs)
-    pivots, remaining = _pivoted_cholesky_pivots(m.full(), tol_abs)
-    if remaining.size == 0:
-        return True
-    return bool(np.all(np.abs(remaining) <= 10.0 * tol_abs))
+        return _banded_psd(d, e, psd_abs), _banded_pd(d, e, pd_abs)
+    a = m.full()
+    l, perm, rank = _pivoted_cholesky(a, min(psd_abs, pd_abs))
+    pivots = np.diagonal(l)[:rank] ** 2
+    pd = rank == m.n and bool(np.all(pivots > pd_abs))
+    small = np.flatnonzero(pivots <= psd_abs)
+    remaining = _trailing_block(a, l, perm, int(small[0]) if small.size else rank)
+    psd = bool(np.all(np.abs(remaining) <= 10.0 * psd_abs))
+    return psd, pd
+
+
+def is_psd(m, tol: float = TOL_PSD) -> bool:
+    """Positive semidefiniteness via diagonal-pivoted Cholesky.
+
+    Elimination stops at the first pivot ``<= tol * scale(M)``; the
+    block left there must be negligibly small.
+    """
+    return definiteness(m, tol, tol)[0]
 
 
 def is_pd(m, tol: float = TOL_PIVOT) -> bool:
     """Strict positive definiteness: pivoted Cholesky completes with all pivots above tol*scale."""
-    m = as_sym(m)
-    if m.n == 0:
-        return True
-    tol_abs = tol * m.scale()
-    if m.tridiagonal and m._dense is None:
-        d, e = m.band()
-        t = 0.0
-        for k in range(m.n):
-            t = d[k] - (e[k - 1] ** 2 / t if k > 0 else 0.0)
-            if t <= tol_abs:
-                return False
-        return True
-    pivots, remaining = _pivoted_cholesky_pivots(m.full(), tol_abs)
-    return remaining.size == 0
+    return definiteness(m, tol, tol)[1]
 
 
 def _check_block_nonsingular(maa: np.ndarray, scale: float) -> None:
@@ -328,24 +346,19 @@ def irreducible_components(m) -> list[np.ndarray]:
         starts = np.concatenate(([0], cuts + 1))
         ends = np.concatenate((cuts + 1, [n]))
         return [np.arange(s, t) for s, t in zip(starts, ends)]
-    a = m.full()
-    seen = np.zeros(n, dtype=bool)
+    adjacent = m.full() != 0.0
+    unseen = np.ones(n, dtype=bool)
     comps = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        stack = [root]
-        seen[root] = True
-        members = []
-        while stack:
-            i = stack.pop()
-            members.append(i)
-            neighbors = np.flatnonzero(a[i] != 0.0)
-            for j in neighbors:
-                if j != i and not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
-        comps.append(np.array(sorted(members), dtype=int))
+    while unseen.any():
+        # Breadth-first search from the smallest unseen index, one row union per level.
+        frontier = np.zeros(n, dtype=bool)
+        frontier[np.argmax(unseen)] = True
+        members = frontier.copy()
+        while frontier.any():
+            frontier = adjacent[frontier].any(axis=0) & ~members
+            members |= frontier
+        unseen &= ~members
+        comps.append(np.flatnonzero(members))
     return comps
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pppa import QpInstance, SymMatrix, save_qpb
+from pppa import QpInstance, SymMatrix, classify, load_qpb, save_qpb
+from pppa import cli
 from pppa.cli import main
 
 N1_TEXT = """qpb 1
@@ -162,3 +163,60 @@ def test_pppa_tol_env(n1_file, capsys, monkeypatch):
     monkeypatch.setenv("PPPA_TOL", "bogus")
     with pytest.raises(ValueError):
         main(["verify", n1_file])
+
+
+NONFINITE_TEXT = """qpb 1
+n 2
+q {q}
+u {u}
+m 3
+1 1 2.0
+1 2 {m}
+2 2 2.0
+"""
+
+
+@pytest.mark.parametrize("q, u, m, line", [
+    ("nan -1", "1 1", "0.5", 3),
+    ("-1 inf", "1 1", "0.5", 3),
+    ("-inf -1", "1 1", "0.5", 3),
+    ("-1 -1", "1 1", "nan", 7),
+    ("-1 -1", "1 1", "inf", 7),
+    ("-1 -1", "1 1", "-inf", 7),
+    ("-1 -1", "nan 1", "0.5", 4),
+    ("-1 -1", "1 -inf", "0.5", 4),
+])
+def test_nonfinite_value_is_parse_error(tmp_path, capsys, q, u, m, line):
+    path = tmp_path / "bad.qpb"
+    path.write_text(NONFINITE_TEXT.format(q=q, u=u, m=m))
+    for command in ("solve", "classify"):
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}:")
+
+
+def test_inf_upper_bound_still_accepted(tmp_path, capsys):
+    path = tmp_path / "ok.qpb"
+    path.write_text(NONFINITE_TEXT.format(q="-1 -1", u="inf 1", m="0.5"))
+    assert main(["solve", str(path)]) == 0
+    assert "status=optimal" in capsys.readouterr().out
+
+
+def test_tridiagonal_input_stays_banded(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "tri.qpb"
+    assert main(["generate", "--family", "tridiagonal", "--n", "40", "--seed", "4",
+                 "--out", str(path)]) == 0
+    instance, _ = load_qpb(path)
+    assert instance.m.tridiagonal
+    classify(instance.m)
+    assert instance.m._dense is None
+    loaded = []
+
+    def recording_load(file):
+        loaded.append(load_qpb(file))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_qpb", recording_load)
+    assert main(["solve", str(path), "--method", "auto"]) == 0
+    assert "status=optimal" in capsys.readouterr().out
+    assert loaded[0][0].m._dense is None

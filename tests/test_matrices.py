@@ -7,6 +7,8 @@ from pppa import (SymMatrix, comparison_matrix, irreducible_components, is_pd,
                   is_psd, principal_pivot_transform, schur_complement,
                   tridiag_solve)
 from pppa.errors import SingularBlock
+from pppa.matrices import _pivoted_cholesky, _pivoted_cholesky_pivots, definiteness
+from pppa.tolerances import TOL_PIVOT, TOL_PSD
 
 from helpers import random_pd, random_sbar, random_symmetric, random_tridiagonal_sym
 
@@ -185,6 +187,79 @@ class TestIsPsd:
             reference = eigs.min() >= -1e-9 * max(np.max(np.abs(np.diagonal(m.full()))), 1e-30)
             assert is_psd(m) == reference
 
+    @pytest.mark.parametrize("n", [1, 5, 30, 90, 150])
+    @pytest.mark.parametrize("kind", ["symmetric", "shifted_gram"])
+    def test_decisions_match_eigenvalues_away_from_threshold(self, n, kind):
+        # n = 90 and 150 run past LAPACK's panel width, so dpstrf stops
+        # inside a blocked step whose trailing block is not fully updated.
+        rng = np.random.default_rng(n)
+        checked = 0
+        for _ in range(20):
+            if kind == "symmetric":
+                a = random_symmetric(rng, n).full()
+            else:
+                b = rng.uniform(-1, 1, size=(n, int(rng.integers(1, n + 1))))
+                a = b @ b.T + rng.uniform(-0.2, 0.2) * np.eye(n)
+            m = SymMatrix.from_dense(a)
+            lam = np.linalg.eigvalsh(a).min()
+            margins = {"psd": 100 * TOL_PSD * m.scale(), "pd": 100 * TOL_PIVOT * m.scale()}
+            if min(abs(lam) - margin for margin in margins.values()) < 0:
+                continue
+            checked += 1
+            assert is_psd(m) == (lam > 0)
+            assert is_pd(m) == (lam > 0)
+            assert definiteness(m) == (lam > 0, lam > 0)
+        assert checked > 0
+
+    @pytest.mark.parametrize("a, psd, pd", [
+        (np.array([[1.0, -1, 0], [-1, 2, -1], [0, -1, 1]]), True, False),
+        (np.array([[1.0, -1, 0], [-1, 2, -1], [0, -1, 1]]) - 1e-6 * np.eye(3), False, False),
+        (np.zeros((4, 4)), True, False),
+        (np.outer([1.0, 2, 3], [1.0, 2, 3]) + np.outer([0.0, 1, -1], [0.0, 1, -1]), True, False),
+        # The pivot 0 is <= tol; the block left there is within 10*tol, so psd.
+        (np.array([[1.0, 0, 0], [0, 0, 3e-9], [0, 3e-9, 0]]), True, False),
+        (np.array([[1.0, 0], [0, -5e-9]]), True, False),
+        (np.array([[1.0, 0], [0, -2e-8]]), False, False),
+        (np.array([[1.0, 0, 0], [0, 0, 2e-8], [0, 2e-8, 0]]), False, False),
+    ])
+    def test_boundary_cases(self, a, psd, pd):
+        m = SymMatrix.from_dense(a)
+        assert is_psd(m) == psd
+        assert is_pd(m) == pd
+        assert definiteness(m) == (psd, pd)
+
+    @pytest.mark.parametrize("entry, psd", [(4.0, True), (20.0, False)])
+    def test_remaining_block_rule_past_panel_width(self, entry, psd):
+        # A pd block of order 100 and a 10 x 10 block of entry*tol*scale off
+        # the diagonal, mixed by a permutation: elimination stops after 100
+        # pivots and the rule decides on the rest.
+        rng = np.random.default_rng(3)
+        b = rng.uniform(-1, 1, size=(100, 100))
+        a = np.zeros((110, 110))
+        a[:100, :100] = b @ b.T + np.eye(100)
+        tol_abs = TOL_PSD * np.abs(np.diagonal(a)).max()
+        a[100:, 100:] = entry * tol_abs * (np.ones((10, 10)) - np.eye(10))
+        perm = rng.permutation(110)
+        m = SymMatrix.from_dense(a[np.ix_(perm, perm)])
+        assert is_psd(m) == psd
+        assert not is_pd(m)
+
+    @pytest.mark.parametrize("n, stop_at", [(6, 3), (40, 17), (150, 100)])
+    def test_remaining_is_schur_complement_of_pivoted_block(self, n, stop_at):
+        rng = np.random.default_rng(n)
+        a = random_pd(rng, n).full()
+        full_pivots, _ = _pivoted_cholesky_pivots(a, 0.0)
+        stop_tol = full_pivots[stop_at]
+        pivots, remaining = _pivoted_cholesky_pivots(a, stop_tol)
+        _, perm, rank = _pivoted_cholesky(a, stop_tol)
+        assert pivots.size == rank and 0 < rank < n
+        assert pivots == pytest.approx(full_pivots[:rank])
+        lead, rest = perm[:rank], perm[rank:]
+        expected = a[np.ix_(rest, rest)] - a[np.ix_(rest, lead)] @ np.linalg.solve(
+            a[np.ix_(lead, lead)], a[np.ix_(lead, rest)])
+        assert remaining == pytest.approx(expected, abs=1e-9 * np.abs(a).max())
+        assert np.diagonal(remaining).max() <= stop_tol * (1 + 1e-12)
+
     def test_tridiagonal_psd_iff_comparison_psd(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
@@ -232,6 +307,34 @@ class TestIrreducibleComponents:
             banded = [list(c) for c in irreducible_components(m)]
             dense = [list(c) for c in irreducible_components(SymMatrix.from_dense(m.full()))]
             assert banded == dense
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("density", [0.0, 0.02, 0.1, 0.5])
+    def test_matches_union_find(self, seed, density):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 7, 40):
+            a = np.where(rng.uniform(size=(n, n)) < density, rng.uniform(-1, 1, size=(n, n)), 0.0)
+            a = np.tril(a, -1) + np.tril(a, -1).T
+            np.fill_diagonal(a, rng.uniform(0, 1, size=n) * (rng.uniform(size=n) < 0.5))
+            comps = [list(c) for c in irreducible_components(a)]
+            assert comps == _union_find_components(a)
+
+
+def _union_find_components(a):
+    n = a.shape[0]
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(a)):
+        parent[root(int(i))] = root(int(j))
+    groups = {}
+    for i in range(n):
+        groups.setdefault(root(i), []).append(i)
+    return sorted(groups.values())
 
 
 class TestTridiagSolve:
