@@ -17,7 +17,6 @@ plain 2n-step scheme as a special case.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,8 @@ import numpy as np
 from .errors import IterationCap, PreconditionViolated
 from .factors import FactorState, factor_update
 from .matrices import SymMatrix, as_sym, quadratic_objective, tridiag_solve
-from .tolerances import TOL_KKT, TOL_PIVOT, TOL_PSD, TOL_RATIO
+from .tolerances import (TOL_PIVOT, TOL_PSD, TOL_RATIO, TOL_RAY_NEGATIVE, TOL_RAY_ZERO,
+                         TOL_TAU_OPTIMAL)
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -58,17 +58,56 @@ class QpInstance:
         return quadratic_objective(self.m, self.q, x)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint index triple (alpha, beta, gamma) covering range(n)."""
+# Partition labels: at zero, basic (strictly between bounds), at the upper bound.
+BETA, ALPHA, GAMMA = 0, 1, 2
 
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-    gamma: tuple[int, ...]
+
+class Partition:
+    """Disjoint index sets (alpha, beta, gamma) covering range(n).
+
+    Stored as one int8 label per index (BETA, ALPHA or GAMMA), so a
+    pivot rewrites one or two labels in O(1).  ``alpha``, ``beta`` and
+    ``gamma`` are sorted index arrays derived from the labels on demand.
+    """
+
+    __slots__ = ("labels",)
+    __hash__ = None
+
+    def __init__(self, alpha=(), beta=(), gamma=(), *, labels: np.ndarray | None = None):
+        if labels is None:
+            sets = [(label, np.asarray(idx, dtype=np.intp).reshape(-1))
+                    for label, idx in ((BETA, beta), (ALPHA, alpha), (GAMMA, gamma))]
+            labels = np.full(sum(idx.size for _, idx in sets), -1, dtype=np.int8)
+            for label, idx in sets:
+                labels[idx] = label
+            if np.any(labels < 0):
+                raise ValueError("alpha, beta and gamma must be disjoint and cover range(n)")
+        self.labels = labels
 
     @classmethod
     def initial(cls, n: int) -> "Partition":
-        return cls(alpha=(), beta=tuple(range(n)), gamma=())
+        return cls(labels=np.full(n, BETA, dtype=np.int8))
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return np.flatnonzero(self.labels == ALPHA)
+
+    @property
+    def beta(self) -> np.ndarray:
+        return np.flatnonzero(self.labels == BETA)
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return np.flatnonzero(self.labels == GAMMA)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return bool(np.array_equal(self.labels, other.labels))
+
+    def __repr__(self) -> str:
+        return (f"Partition(alpha={self.alpha.tolist()}, beta={self.beta.tolist()}, "
+                f"gamma={self.gamma.tolist()})")
 
 
 @dataclass
@@ -112,34 +151,18 @@ class SolveOutcome:
 
 
 @dataclass
-class TridiagFactor:
-    """Run-structured stand-in for FactorState on tridiagonal instances.
-
-    Keeps alpha sorted and solves M_aa systems directly with banded
-    elimination per contiguous run; no inverse is maintained.
-    """
-
-    m: SymMatrix
-    alpha: list[int] = field(default_factory=list)
-
-    def added(self, i: int) -> "TridiagFactor":
-        new = list(self.alpha)
-        bisect.insort(new, i)
-        return TridiagFactor(self.m, new)
-
-    def removed(self, i: int) -> "TridiagFactor":
-        return TridiagFactor(self.m, [j for j in self.alpha if j != i])
-
-
-@dataclass
 class ParamState:
-    """One engine iteration's view: partition, tau, bar vectors, factor."""
+    """One engine iteration's view: partition, tau, bar vectors, factor.
+
+    ``factor`` is None on tridiagonal input, whose M_aa systems are
+    solved run by run with ``tridiag_solve``.
+    """
 
     partition: Partition
     tau_cur: float
     qbar: np.ndarray | None
     pbar: np.ndarray | None
-    factor: FactorState | TridiagFactor | None
+    factor: FactorState | None
     stats: Stats = field(default_factory=Stats)
 
 
@@ -166,7 +189,7 @@ def _solve_embedded(factor, m: SymMatrix, alpha: np.ndarray, rhs_full: np.ndarra
     out = np.zeros_like(rhs_full)
     if alpha.size == 0:
         return out
-    if isinstance(factor, TridiagFactor) or (factor is None and m.tridiagonal):
+    if factor is None and m.tridiagonal:
         out[alpha] = tridiag_solve(m, alpha, rhs_full)
     elif factor is None:
         a = m.full()
@@ -184,16 +207,9 @@ def compute_bars(instance: QpInstance, partition: Partition, p: np.ndarray,
     ``mug`` may carry a precomputed M @ (u on gamma, 0 elsewhere).
     """
     m, q, u = instance.m, instance.q, instance.u
-    n = m.n
-    alpha = np.asarray(partition.alpha, dtype=int)
+    alpha = partition.alpha
     if mug is None:
-        if partition.gamma:
-            ug = np.zeros(n)
-            gamma = np.asarray(partition.gamma, dtype=int)
-            ug[gamma] = u[gamma]
-            mug = m.matvec(ug)
-        else:
-            mug = np.zeros(n)
+        mug = m.matvec(np.where(partition.labels == GAMMA, u, 0.0))
     p = np.asarray(p, dtype=float)
     rhs = np.column_stack([q + mug, p])
     sol = _solve_embedded(factor, m, alpha, rhs)
@@ -212,30 +228,23 @@ def ratio_test_tau(state: ParamState, u: np.ndarray, tau_eps: float = 0.0):
     'from_lower'}.  Exact ties prefer beta candidates, then the
     smallest index.
     """
-    qbar, pbar = state.qbar, state.pbar
-    n = qbar.size
-    tol = TOL_RATIO * float(np.max(np.abs(pbar), initial=0.0))
-    beta_mask = np.zeros(n, dtype=bool)
-    beta_mask[list(state.partition.beta)] = True
-    alpha_mask = np.zeros(n, dtype=bool)
-    alpha_mask[list(state.partition.alpha)] = True
-
-    ratios_b = np.full(n, -np.inf)
-    cand_b = beta_mask & (pbar > tol)
-    ratios_b[cand_b] = -qbar[cand_b] / pbar[cand_b]
+    qbar, pbar, labels = state.qbar, state.pbar, state.partition.labels
+    rising = pbar > TOL_RATIO * float(np.max(np.abs(pbar), initial=0.0))
+    # np.where drops the quotients outside the candidate masks, so their
+    # division warnings are noise; an infinite u gives -inf, the no-candidate value.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios_b = np.where(rising & (labels == BETA), -qbar / pbar, -np.inf)
+        ratios_a = np.where(rising & (labels == ALPHA), -(u + qbar) / pbar, -np.inf)
     best_b = float(np.max(ratios_b, initial=-np.inf))
-
-    ratios_a = np.full(n, -np.inf)
-    cand_a = alpha_mask & (pbar > tol) & np.isfinite(u)
-    ratios_a[cand_a] = -(u[cand_a] + qbar[cand_a]) / pbar[cand_a]
     best_a = float(np.max(ratios_a, initial=-np.inf))
 
     tau_new = max(best_b, best_a, 0.0)
     if tau_new <= tau_eps:
         return 0.0, "optimal", None
+    # argmax returns the first, i.e. smallest, index attaining the maximum.
     if best_b >= best_a:
-        return tau_new, "from_lower", int(np.flatnonzero(ratios_b == best_b)[0])
-    return tau_new, "to_upper", int(np.flatnonzero(ratios_a == best_a)[0])
+        return tau_new, "from_lower", int(np.argmax(ratios_b))
+    return tau_new, "to_upper", int(np.argmax(ratios_a))
 
 
 def second_ratio_test(state: ParamState, instance: QpInstance, i_bar: int,
@@ -249,19 +258,16 @@ def second_ratio_test(state: ParamState, instance: QpInstance, i_bar: int,
     """
     qbar, pbar, u = state.qbar, state.pbar, instance.u
     n = qbar.size
-    alpha_mask = np.zeros(n, dtype=bool)
-    alpha_mask[list(state.partition.alpha)] = True
+    in_alpha = state.partition.labels == ALPHA
     mtol = TOL_RATIO * float(np.max(np.abs(mhat), initial=0.0))
 
     x_tau = np.maximum(-qbar - tau_new * pbar, 0.0)
     s_tau = np.maximum(u + qbar + tau_new * pbar, 0.0)
 
-    rho_lower = np.full(n, np.inf)
-    cand = alpha_mask & (mhat > mtol)
-    rho_lower[cand] = x_tau[cand] / mhat[cand]
-    rho_upper = np.full(n, np.inf)
-    cand = alpha_mask & (mhat < -mtol) & np.isfinite(u)
-    rho_upper[cand] = s_tau[cand] / (-mhat[cand])
+    # An infinite u gives s_tau = inf, the no-candidate value of rho_upper.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho_lower = np.where(in_alpha & (mhat > mtol), x_tau / mhat, np.inf)
+        rho_upper = np.where(in_alpha & (mhat < -mtol), s_tau / -mhat, np.inf)
 
     rho_u = float(u[i_bar]) if np.isfinite(u[i_bar]) else np.inf
     rho_min = min(float(np.min(rho_lower, initial=np.inf)),
@@ -279,133 +285,95 @@ def second_ratio_test(state: ParamState, instance: QpInstance, i_bar: int,
     return rho_min, "exchange_to_upper", j_upper
 
 
+# Decision kind -> (new label of i_bar, new label of j_bar or None).
+_MOVES = {
+    "to_upper": (GAMMA, None),
+    "from_lower": (ALPHA, None),
+    "at_ub": (GAMMA, None),
+    "exchange_to_lower": (ALPHA, BETA),
+    "exchange_to_upper": (ALPHA, GAMMA),
+}
+
+
+def _factor_step(factor: FactorState, idx: int, direction: str, mhat, stats: Stats) -> FactorState:
+    if mhat is not None:
+        mhat = mhat[factor.alpha]
+    before = factor.refresh_counter
+    new = factor_update(factor, idx, direction, mhat=mhat)
+    if new.refresh_counter <= before:
+        stats.refactorizations += 1
+    return new
+
+
 def apply_pivot(state: ParamState, decision: PivotDecision) -> ParamState:
-    """Update the partition and the factored block for one pivot."""
-    part = state.partition
-    alpha, beta, gamma = list(part.alpha), list(part.beta), list(part.gamma)
-    i, j = decision.i_bar, decision.j_bar
-    factor = state.factor
-    stats = state.stats
+    """Relabel i_bar (and j_bar) and update the factored block for one pivot.
 
-    def _factor_add(f, idx, mhat_embedded=None):
-        if isinstance(f, TridiagFactor):
-            return f.added(idx)
-        if f is None:
-            return None
-        mhat_aligned = None
-        if mhat_embedded is not None:
-            mhat_aligned = mhat_embedded[f.alpha]
-        before = f.refresh_counter
-        f2 = factor_update(f, idx, "add", mhat=mhat_aligned)
-        if f2.refresh_counter <= before:
-            stats.refactorizations += 1
-        return f2
-
-    def _factor_remove(f, idx):
-        if isinstance(f, TridiagFactor):
-            return f.removed(idx)
-        if f is None:
-            return None
-        before = f.refresh_counter
-        f2 = factor_update(f, idx, "remove")
-        if f2.refresh_counter <= before:
-            stats.refactorizations += 1
-        return f2
-
-    if decision.kind == "to_upper":
-        alpha.remove(i)
-        bisect.insort(gamma, i)
-        factor = _factor_remove(factor, i)
-    elif decision.kind == "from_lower":
-        beta.remove(i)
-        bisect.insort(alpha, i)
-        factor = _factor_add(factor, i, decision.mhat)
-    elif decision.kind == "at_ub":
-        beta.remove(i)
-        bisect.insort(gamma, i)
-        stats.two_by_two += 1
-    elif decision.kind == "exchange_to_lower":
-        beta.remove(i)
-        bisect.insort(beta, j)
-        alpha.remove(j)
-        bisect.insort(alpha, i)
-        factor = _factor_remove(factor, j)
-        factor = _factor_add(factor, i)
-        stats.two_by_two += 1
-    elif decision.kind == "exchange_to_upper":
-        beta.remove(i)
-        alpha.remove(j)
-        bisect.insort(alpha, i)
-        bisect.insort(gamma, j)
-        factor = _factor_remove(factor, j)
-        factor = _factor_add(factor, i)
-        stats.two_by_two += 1
-    else:
+    ``state`` is updated in place and returned.  The labels cost O(1);
+    j_bar leaves alpha before i_bar enters it.
+    """
+    if decision.kind not in _MOVES:
         raise ValueError(f"unknown pivot kind {decision.kind!r}")
+    to_i, to_j = _MOVES[decision.kind]
+    labels, stats, factor = state.partition.labels, state.stats, state.factor
+    moves = [(decision.i_bar, to_i)]
+    if to_j is not None:
+        moves.insert(0, (decision.j_bar, to_j))
+    for idx, label in moves:
+        if factor is not None and labels[idx] == ALPHA:
+            factor = _factor_step(factor, idx, "remove", None, stats)
+        elif factor is not None and label == ALPHA:
+            # mhat was formed against the alpha before this pivot; an exchange changed it.
+            mhat = decision.mhat if to_j is None else None
+            factor = _factor_step(factor, idx, "add", mhat, stats)
+        labels[idx] = label
+    if decision.kind not in ("to_upper", "from_lower"):
+        stats.two_by_two += 1
     stats.pivots += 1
-
-    return ParamState(
-        partition=Partition(alpha=tuple(alpha), beta=tuple(beta), gamma=tuple(gamma)),
-        tau_cur=decision.tau_new,
-        qbar=state.qbar,
-        pbar=state.pbar,
-        factor=factor,
-        stats=stats,
-    )
+    state.factor = factor
+    state.tau_cur = decision.tau_new
+    return state
 
 
 def solution_at_tau(state: ParamState, instance: QpInstance, tau: float) -> np.ndarray:
     """Path point: x_beta = 0, x_gamma = u, x_alpha = -qbar - tau*pbar."""
-    x = np.zeros(instance.n)
-    gamma = np.asarray(state.partition.gamma, dtype=int)
-    alpha = np.asarray(state.partition.alpha, dtype=int)
-    if gamma.size:
-        x[gamma] = instance.u[gamma]
-    if alpha.size:
-        x[alpha] = -state.qbar[alpha] - tau * state.pbar[alpha]
+    labels = state.partition.labels
+    x = np.where(labels == GAMMA, instance.u, 0.0)
+    alpha = np.flatnonzero(labels == ALPHA)
+    x[alpha] = -state.qbar[alpha] - tau * state.pbar[alpha]
     return x
 
 
-def _schur_diag(factor, m: SymMatrix, alpha: np.ndarray, i: int) -> float:
-    if isinstance(factor, TridiagFactor) or (factor is None and m.tridiagonal):
-        if alpha.size == 0:
-            return m.value(i, i)
-        d, e = m.band()
-        rhs = np.zeros(m.n)
-        touched = False
-        for nb in (i - 1, i + 1):
-            if 0 <= nb < m.n and np.any(alpha == nb):
-                rhs[nb] = m.value(nb, i)
-                touched = touched or rhs[nb] != 0.0
-        if not touched:
-            return m.value(i, i)
-        z = np.zeros(m.n)
-        z[alpha] = tridiag_solve(m, alpha, rhs)
-        return float(m.value(i, i) - sum(m.value(i, nb) * z[nb] for nb in (i - 1, i + 1) if 0 <= nb < m.n))
-    if factor is None:
-        a = m.full()
-        if alpha.size == 0:
-            return float(a[i, i])
-        col = a[alpha, i]
-        return float(a[i, i] - col @ np.linalg.solve(a[np.ix_(alpha, alpha)], col))
-    return factor.schur_scalar(i)
+def _schur_diag(factor, m: SymMatrix, labels: np.ndarray, alpha: np.ndarray, i: int) -> float:
+    """m_ii - M_{i,a} M_aa^{-1} M_{a,i}; ``factor`` is None on tridiagonal input."""
+    if factor is not None:
+        return factor.schur_scalar(i)
+    rhs = np.zeros(m.n)
+    touched = False
+    for nb in (i - 1, i + 1):
+        if 0 <= nb < m.n and labels[nb] == ALPHA:
+            rhs[nb] = m.value(nb, i)
+            touched = touched or rhs[nb] != 0.0
+    if not touched:
+        return m.value(i, i)
+    z = np.zeros(m.n)
+    z[alpha] = tridiag_solve(m, alpha, rhs)
+    return float(m.value(i, i) - sum(m.value(i, nb) * z[nb] for nb in (i - 1, i + 1) if 0 <= nb < m.n))
 
 
-def _column_solve_embedded(factor, m: SymMatrix, alpha: np.ndarray, i: int) -> np.ndarray:
+def _column_solve_embedded(factor, m: SymMatrix, labels: np.ndarray, alpha: np.ndarray,
+                           i: int) -> np.ndarray:
+    """M_aa^{-1} M_{a,i} scattered into a length-n vector (zero off alpha)."""
     out = np.zeros(m.n)
     if alpha.size == 0:
         return out
-    if isinstance(factor, TridiagFactor) or (factor is None and m.tridiagonal):
-        rhs = np.zeros(m.n)
-        for nb in (i - 1, i + 1):
-            if 0 <= nb < m.n and np.any(alpha == nb):
-                rhs[nb] = m.value(nb, i)
-        out[alpha] = tridiag_solve(m, alpha, rhs)
-    elif factor is None:
-        a = m.full()
-        out[alpha] = np.linalg.solve(a[np.ix_(alpha, alpha)], a[alpha, i])
-    else:
+    if factor is not None:
         out[factor.alpha] = factor.column_solve(i)
+        return out
+    rhs = np.zeros(m.n)
+    for nb in (i - 1, i + 1):
+        if 0 <= nb < m.n and labels[nb] == ALPHA:
+            rhs[nb] = m.value(nb, i)
+    out[alpha] = tridiag_solve(m, alpha, rhs)
     return out
 
 
@@ -424,7 +392,10 @@ def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
     class construction) with q + tau0 p >= 0 for some tau0 > 0; callers
     run the reduction pipeline first when that fails.  ``scale``
     anchors the zero/pivot thresholds (reduced problems pass the
-    original problem's scale).
+    original problem's scale).  ``callback(state, tau_new, decision)``
+    runs before each pivot and once at the end with ``decision=None``;
+    the pivot then updates ``state`` in place, so copy what must outlive
+    the call.
     """
     m, q, u = instance.m, instance.q, instance.u
     n = m.n
@@ -446,15 +417,16 @@ def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
             f"no tau0 > 0 with q + tau0*p >= 0: p[{i}] ~ 0 while q[{i}] = {q[i]:.6g} < 0")
 
     banded = m.tridiagonal
-    factor = TridiagFactor(m, []) if banded else FactorState.for_alpha(m, [])
+    factor = None if banded else FactorState.for_alpha(m, [])
     state = ParamState(partition=Partition.initial(n), tau_cur=np.inf,
                        qbar=None, pbar=None, factor=factor, stats=stats)
+    labels = state.partition.labels
     mug = np.zeros(n)
     cap = max_pivots if max_pivots is not None else max(3 * n, 4)
     tau_eps = None
 
     while True:
-        alpha_arr = np.asarray(state.partition.alpha, dtype=int)
+        alpha_arr = np.flatnonzero(labels == ALPHA)
         qbar, pbar = compute_bars(instance, state.partition, p, state.factor, mug=mug)
         state.qbar, state.pbar = qbar, pbar
         it_flops = _iteration_flops(n, alpha_arr.size, banded)
@@ -463,7 +435,7 @@ def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
 
         tau_new, kind, i_bar = ratio_test_tau(state, u, tau_eps=tau_eps or 0.0)
         if tau_eps is None:
-            tau_eps = 1e-12 * max(1.0, tau_new)
+            tau_eps = TOL_TAU_OPTIMAL * max(1.0, tau_new)
         if kind == "optimal":
             x = solution_at_tau(state, instance, 0.0)
             x = np.minimum(np.maximum(x, 0.0), u)
@@ -475,21 +447,21 @@ def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
         if kind == "to_upper":
             decision = PivotDecision(kind="to_upper", i_bar=i_bar, tau_new=tau_new)
         else:
-            sigma = _schur_diag(state.factor, m, alpha_arr, i_bar)
+            sigma = _schur_diag(state.factor, m, labels, alpha_arr, i_bar)
             if sigma > TOL_PIVOT * scale:
                 mhat = None
                 if not banded and alpha_arr.size:
-                    mhat = _column_solve_embedded(state.factor, m, alpha_arr, i_bar)
+                    mhat = _column_solve_embedded(state.factor, m, labels, alpha_arr, i_bar)
                 decision = PivotDecision(kind="from_lower", i_bar=i_bar, tau_new=tau_new, mhat=mhat)
             else:
-                mhat = _column_solve_embedded(state.factor, m, alpha_arr, i_bar)
+                mhat = _column_solve_embedded(state.factor, m, labels, alpha_arr, i_bar)
                 rho, sub_kind, j_bar = second_ratio_test(state, instance, i_bar, tau_new, mhat)
                 if sub_kind == "unbounded":
                     d = np.zeros(n)
                     d[i_bar] = 1.0
                     d[alpha_arr] = -mhat[alpha_arr]
-                    d[np.abs(d) <= 1e-14 * max(1.0, float(np.max(np.abs(d))))] = 0.0
-                    d[(d < 0.0) & (d > -1e-10)] = 0.0
+                    d[np.abs(d) <= TOL_RAY_ZERO * max(1.0, float(np.max(np.abs(d))))] = 0.0
+                    d[(d < 0.0) & (d > -TOL_RAY_NEGATIVE)] = 0.0
                     if callback is not None:
                         callback(state, tau_new, None)
                     return SolveOutcome(status=UNBOUNDED, ray=Ray(direction=d, index=i_bar),

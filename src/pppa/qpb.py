@@ -110,9 +110,13 @@ def parse_qpb(text: str) -> tuple[QpInstance, dict]:
                 raise ParseError(f"header key {key!r} takes one value", line=lineno)
             value: object = tokens[1]
             if key == "seed":
-                value = int(tokens[1])
+                try:
+                    value = int(tokens[1])
+                except ValueError as exc:
+                    raise ParseError(f"seed takes an integer, got {tokens[1]!r}",
+                                     line=lineno) from exc
             elif key == "rho":
-                value = float(tokens[1])
+                value = _parse_real(tokens[1], lineno)
             header[key] = value
         elif key == "n":
             if len(tokens) != 2 or not tokens[1].isdigit():
@@ -138,7 +142,11 @@ def parse_qpb(text: str) -> tuple[QpInstance, dict]:
         else:
             raise ParseError(f"unknown record {key!r}", line=lineno)
 
-    a = np.zeros((n, n))
+    # Triplets fill the diagonal and sub-diagonal until one lies outside the
+    # band; only then (or when the header says dense) is the n x n array built.
+    structure = header.get("structure")
+    diag, sub = np.zeros(n), np.zeros(max(n - 1, 0))
+    a = np.zeros((n, n)) if structure == "dense" else None
     seen = set()
     max_band = 0
     for _ in range(nnz):
@@ -156,18 +164,28 @@ def parse_qpb(text: str) -> tuple[QpInstance, dict]:
             raise IndexOutOfRange(f"triplet index ({i}, {j}) outside 1..{n}", line=lineno)
         if i > j:
             i, j = j, i
-        if (i, j) in seen:
+        key = i * (n + 1) + j  # one int per entry: a tuple costs ~3x the memory
+        if key in seen:
             raise DuplicateEntry(f"triplet ({i}, {j}) appears twice", line=lineno)
-        seen.add((i, j))
+        seen.add(key)
         v = _parse_real(tokens[2], lineno)
-        a[i - 1, j - 1] = v
-        a[j - 1, i - 1] = v
-        max_band = max(max_band, j - i)
+        band = j - i
+        if band > max_band:
+            max_band = band
+            # Under 'structure tridiagonal' the triplet is rejected after the loop.
+            if a is None and band > 1 and structure != "tridiagonal":
+                a = SymMatrix.from_banded(diag, sub).full()
+        if a is not None:
+            a[i - 1, j - 1] = v
+            a[j - 1, i - 1] = v
+        elif band == 0:
+            diag[i - 1] = v
+        elif band == 1:
+            sub[i - 1] = v
     trailing, lineno = next_line()
     if trailing is not None:
         raise ParseError(f"unexpected trailing record {trailing!r}", line=lineno)
 
-    structure = header.get("structure")
     if structure is None:
         tridiagonal = n >= 2 and max_band <= 1
     elif structure == "tridiagonal":
@@ -179,10 +197,9 @@ def parse_qpb(text: str) -> tuple[QpInstance, dict]:
     else:
         raise ParseError(f"unknown structure {structure!r}", line=lineno)
     if tridiagonal:
-        m = SymMatrix.from_banded(np.diagonal(a).copy(),
-                                  np.diagonal(a, 1).copy() if n > 1 else np.zeros(0))
+        m = SymMatrix.from_banded(diag, sub)
     else:
-        m = SymMatrix.from_dense(a)
+        m = SymMatrix.from_dense(a if a is not None else SymMatrix.from_banded(diag, sub).full())
     try:
         instance = QpInstance(m, q, u)
     except ValueError as exc:

@@ -30,6 +30,18 @@ TOL_KERNEL = 1e-8
 # Strict positivity threshold for dominance vectors.
 TOL_D_POSITIVE = 1e-12
 
+# Path-end threshold (times max(1, first critical tau)): a ratio test whose
+# critical tau is at or below it ends the path at tau = 0.
+TOL_TAU_OPTIMAL = 1e-12
+
+# Recession-ray cleanup: components within this (times max(1, ||d||_inf))
+# of zero are set to zero.
+TOL_RAY_ZERO = 1e-14
+
+# Recession-ray cleanup: negative components above -TOL_RAY_NEGATIVE
+# (absolute) are roundoff and set to zero, which keeps the ray feasible.
+TOL_RAY_NEGATIVE = 1e-10
+
 _SCALE_FLOOR = 1e-30
 
 

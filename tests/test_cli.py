@@ -195,6 +195,14 @@ def test_nonfinite_value_is_parse_error(tmp_path, capsys, q, u, m, line):
         assert err.startswith(f"error: line {line}:")
 
 
+@pytest.mark.parametrize("header", ["seed abc", "seed 1.5", "rho nan", "rho inf", "rho x"])
+def test_bad_header_value_is_parse_error(tmp_path, capsys, header):
+    path = tmp_path / "bad.qpb"
+    path.write_text(N1_TEXT.replace("qpb 1\n", f"qpb 1\n{header}\n"))
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 2:")
+
+
 def test_inf_upper_bound_still_accepted(tmp_path, capsys):
     path = tmp_path / "ok.qpb"
     path.write_text(NONFINITE_TEXT.format(q="-1 -1", u="inf 1", m="0.5"))

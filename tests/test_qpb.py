@@ -115,3 +115,52 @@ class TestRoundTrip:
         assert np.array_equal(back.m.full(), inst.m.full())
         assert np.array_equal(back.q, inst.q)
         assert np.array_equal(back.u, inst.u)
+
+
+class TestBandedParse:
+    """Band-limited triplets go to band arrays; the dense array is built only when needed."""
+
+    def test_tridiagonal_parse_memory_is_linear(self):
+        import tracemalloc
+
+        from pppa import gen_tridiagonal
+        text = write_qpb(gen_tridiagonal(GenSpec(family="tridiagonal", n=20000, seed=1)))
+        tracemalloc.start()
+        try:
+            inst, _ = parse_qpb(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.m._dense is None
+        # A dense 20000 x 20000 array alone would take 3.2 GB.
+        assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_triplet_order_matches_dense(self, data):
+        # Without a structure key, in-band triplets read before the first
+        # out-of-band one must survive the switch to dense storage.
+        n = data.draw(st.integers(1, 6))
+        width = data.draw(st.integers(0, n - 1))
+        values = st.floats(-4, 4, allow_nan=False).filter(lambda v: v != 0.0)
+        entries = {(i, j): data.draw(values)
+                   for i in range(n) for j in range(i, min(n, i + width + 1))
+                   if data.draw(st.booleans())}
+        order = data.draw(st.permutations(sorted(entries)))
+        lines = [f"{j + 1} {i + 1} {entries[i, j]!r}" if data.draw(st.booleans())
+                 else f"{i + 1} {j + 1} {entries[i, j]!r}" for i, j in order]
+        text = (f"qpb 1\nn {n}\nq {' 0' * n}\nu {' 1' * n}\nm {len(lines)}\n"
+                + "".join(line + "\n" for line in lines))
+        expected = np.zeros((n, n))
+        for (i, j), v in entries.items():
+            expected[i, j] = expected[j, i] = v
+        inst, _ = parse_qpb(text)
+        assert inst.m.tridiagonal == (n >= 2 and all(j - i <= 1 for i, j in entries))
+        assert (inst.m._dense is None) == inst.m.tridiagonal
+        assert np.array_equal(inst.m.full(), expected)
+
+    def test_tridiagonal_structure_rejects_out_of_band(self):
+        text = ("qpb 1\nstructure tridiagonal\nn 3\nq 0 0 0\nu 1 1 1\nm 3\n"
+                "1 1 1\n1 3 0.5\n3 3 1\n")
+        with pytest.raises(ParseError, match="outside the band"):
+            parse_qpb(text)
