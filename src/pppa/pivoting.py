@@ -175,6 +175,9 @@ class PivotDecision:
           'at_ub'               beta -> gamma             (2x2, rho = u_i)
           'exchange_to_lower'   i: beta->alpha, j: alpha->beta   (2x2)
           'exchange_to_upper'   i: beta->alpha, j: alpha->gamma  (2x2)
+
+    mhat: M_aa^{-1} M_{a,i_bar} in the factor's block order, carried by a
+    dense 'from_lower' pivot so that the factor update need not recompute it.
     """
 
     kind: str
@@ -184,19 +187,16 @@ class PivotDecision:
     mhat: np.ndarray | None = None
 
 
-def _solve_embedded(factor, m: SymMatrix, alpha: np.ndarray, rhs_full: np.ndarray) -> np.ndarray:
+def _solve_embedded(m: SymMatrix, alpha: np.ndarray, rhs_full: np.ndarray) -> np.ndarray:
     """M_aa^{-1} rhs_a scattered back into full-length (n, k) arrays."""
     out = np.zeros_like(rhs_full)
     if alpha.size == 0:
         return out
-    if factor is None and m.tridiagonal:
+    if m.tridiagonal:
         out[alpha] = tridiag_solve(m, alpha, rhs_full)
-    elif factor is None:
+    else:
         a = m.full()
         out[alpha] = np.linalg.solve(a[np.ix_(alpha, alpha)], rhs_full[alpha])
-    else:
-        order = factor.alpha
-        out[order] = factor.inv @ rhs_full[order]
     return out
 
 
@@ -204,15 +204,20 @@ def compute_bars(instance: QpInstance, partition: Partition, p: np.ndarray,
                  factor=None, mug: np.ndarray | None = None):
     """Solve for (qbar, pbar): basic components via M_aa, nonbasic by substitution.
 
-    ``mug`` may carry a precomputed M @ (u on gamma, 0 elsewhere).
+    ``mug`` may carry a precomputed M @ (u on gamma, 0 elsewhere).  With
+    a ``factor`` the nonbasic rows cost one M_Na product, (n-k)k work
+    per column; without one, M_aa is solved directly and M multiplied whole.
     """
     m, q, u = instance.m, instance.q, instance.u
-    alpha = partition.alpha
     if mug is None:
         mug = m.matvec(np.where(partition.labels == GAMMA, u, 0.0))
     p = np.asarray(p, dtype=float)
     rhs = np.column_stack([q + mug, p])
-    sol = _solve_embedded(factor, m, alpha, rhs)
+    if factor is not None:
+        qbar, pbar = factor.bars(rhs)
+        return qbar, pbar
+    alpha = partition.alpha
+    sol = _solve_embedded(m, alpha, rhs)
     prod = m.matvec(sol)
     qbar = q + mug - prod[:, 0]
     pbar = p - prod[:, 1]
@@ -295,14 +300,11 @@ _MOVES = {
 }
 
 
-def _factor_step(factor: FactorState, idx: int, direction: str, mhat, stats: Stats) -> FactorState:
-    if mhat is not None:
-        mhat = mhat[factor.alpha]
+def _factor_step(factor: FactorState, idx: int, direction: str, mhat, stats: Stats) -> None:
     before = factor.refresh_counter
-    new = factor_update(factor, idx, direction, mhat=mhat)
-    if new.refresh_counter <= before:
+    factor_update(factor, idx, direction, mhat=mhat)
+    if factor.refresh_counter <= before:
         stats.refactorizations += 1
-    return new
 
 
 def apply_pivot(state: ParamState, decision: PivotDecision) -> ParamState:
@@ -320,16 +322,15 @@ def apply_pivot(state: ParamState, decision: PivotDecision) -> ParamState:
         moves.insert(0, (decision.j_bar, to_j))
     for idx, label in moves:
         if factor is not None and labels[idx] == ALPHA:
-            factor = _factor_step(factor, idx, "remove", None, stats)
+            _factor_step(factor, idx, "remove", None, stats)
         elif factor is not None and label == ALPHA:
             # mhat was formed against the alpha before this pivot; an exchange changed it.
             mhat = decision.mhat if to_j is None else None
-            factor = _factor_step(factor, idx, "add", mhat, stats)
+            _factor_step(factor, idx, "add", mhat, stats)
         labels[idx] = label
     if decision.kind not in ("to_upper", "from_lower"):
         stats.two_by_two += 1
     stats.pivots += 1
-    state.factor = factor
     state.tau_cur = decision.tau_new
     return state
 
@@ -343,10 +344,8 @@ def solution_at_tau(state: ParamState, instance: QpInstance, tau: float) -> np.n
     return x
 
 
-def _schur_diag(factor, m: SymMatrix, labels: np.ndarray, alpha: np.ndarray, i: int) -> float:
-    """m_ii - M_{i,a} M_aa^{-1} M_{a,i}; ``factor`` is None on tridiagonal input."""
-    if factor is not None:
-        return factor.schur_scalar(i)
+def _schur_diag(m: SymMatrix, labels: np.ndarray, alpha: np.ndarray, i: int) -> float:
+    """m_ii - M_{i,a} M_aa^{-1} M_{a,i} on tridiagonal input."""
     rhs = np.zeros(m.n)
     touched = False
     for nb in (i - 1, i + 1):
@@ -360,14 +359,11 @@ def _schur_diag(factor, m: SymMatrix, labels: np.ndarray, alpha: np.ndarray, i: 
     return float(m.value(i, i) - sum(m.value(i, nb) * z[nb] for nb in (i - 1, i + 1) if 0 <= nb < m.n))
 
 
-def _column_solve_embedded(factor, m: SymMatrix, labels: np.ndarray, alpha: np.ndarray,
+def _column_solve_embedded(m: SymMatrix, labels: np.ndarray, alpha: np.ndarray,
                            i: int) -> np.ndarray:
-    """M_aa^{-1} M_{a,i} scattered into a length-n vector (zero off alpha)."""
+    """M_aa^{-1} M_{a,i} on tridiagonal input, scattered into a length-n vector (zero off alpha)."""
     out = np.zeros(m.n)
     if alpha.size == 0:
-        return out
-    if factor is not None:
-        out[factor.alpha] = factor.column_solve(i)
         return out
     rhs = np.zeros(m.n)
     for nb in (i - 1, i + 1):
@@ -381,7 +377,9 @@ def _iteration_flops(n: int, k: int, banded: bool) -> int:
     # Faithful operation-count formulas for the kernels that actually ran.
     if banded:
         return 5 * n * 3 + 16 * k + 8 * n
-    return 2 * n * n * 2 + 2 * k * k * 2 + 4 * k * k + 8 * n
+    # Two bar columns of k^2 + (n-k)k multiply-adds each (4nk flops), the
+    # factor's column solve and rank-one update (4k^2), O(n) vector work.
+    return 4 * n * k + 4 * k * k + 8 * n
 
 
 def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
@@ -427,7 +425,7 @@ def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
 
     while True:
         alpha_arr = np.flatnonzero(labels == ALPHA)
-        qbar, pbar = compute_bars(instance, state.partition, p, state.factor, mug=mug)
+        qbar, pbar = compute_bars(instance, state.partition, p, factor, mug=mug)
         state.qbar, state.pbar = qbar, pbar
         it_flops = _iteration_flops(n, alpha_arr.size, banded)
         stats.flops += it_flops
@@ -447,14 +445,15 @@ def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
         if kind == "to_upper":
             decision = PivotDecision(kind="to_upper", i_bar=i_bar, tau_new=tau_new)
         else:
-            sigma = _schur_diag(state.factor, m, labels, alpha_arr, i_bar)
+            if banded:
+                mhat, sigma = None, _schur_diag(m, labels, alpha_arr, i_bar)
+            else:
+                mhat, sigma = factor.border(i_bar)
             if sigma > TOL_PIVOT * scale:
-                mhat = None
-                if not banded and alpha_arr.size:
-                    mhat = _column_solve_embedded(state.factor, m, labels, alpha_arr, i_bar)
                 decision = PivotDecision(kind="from_lower", i_bar=i_bar, tau_new=tau_new, mhat=mhat)
             else:
-                mhat = _column_solve_embedded(state.factor, m, labels, alpha_arr, i_bar)
+                mhat = (_column_solve_embedded(m, labels, alpha_arr, i_bar) if banded
+                        else factor.embed(mhat))
                 rho, sub_kind, j_bar = second_ratio_test(state, instance, i_bar, tau_new, mhat)
                 if sub_kind == "unbounded":
                     d = np.zeros(n)
@@ -467,7 +466,7 @@ def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
                     return SolveOutcome(status=UNBOUNDED, ray=Ray(direction=d, index=i_bar),
                                         stats=stats)
                 decision = PivotDecision(kind=sub_kind, i_bar=i_bar, j_bar=j_bar,
-                                         tau_new=tau_new, mhat=mhat)
+                                         tau_new=tau_new)
 
         if callback is not None:
             callback(state, tau_new, decision)
@@ -483,7 +482,7 @@ def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
                 if entered < n - 1:
                     mug[entered + 1] += u[entered] * ecol[entered]
             else:
-                mug += u[entered] * m.full()[:, entered]
+                mug += u[entered] * m.full()[entered]  # a row: M is symmetric
         if stats.pivots > cap:
             raise IterationCap(f"pivot count exceeded {cap} (3n cap); degeneracy anomaly")
 

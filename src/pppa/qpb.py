@@ -199,7 +199,13 @@ def parse_qpb(text: str) -> tuple[QpInstance, dict]:
     if tridiagonal:
         m = SymMatrix.from_banded(diag, sub)
     else:
-        m = SymMatrix.from_dense(a if a is not None else SymMatrix.from_banded(diag, sub).full())
+        if a is None:
+            a = SymMatrix.from_banded(diag, sub).full()
+        # ``a`` is symmetric as filled, so it is wrapped as it is instead of
+        # re-symmetrized by from_dense (three n x n temporaries).  Adding 0.0
+        # turns -0.0 into 0.0, as from_dense's sums would.
+        np.add(a, 0.0, out=a)
+        m = SymMatrix(n=n, _dense=a)
     try:
         instance = QpInstance(m, q, u)
     except ValueError as exc:

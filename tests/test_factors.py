@@ -21,12 +21,16 @@ class TestFactorUpdate:
         assert f2.inv == pytest.approx(np.array([[2, -1], [-1, 2]]) / 3.0)
 
     def test_add_then_remove_is_identity(self):
+        # Updates are in place, so the state before them is snapshotted.
         rng = np.random.default_rng(0)
         m = random_pd(rng, 5)
         f = FactorState.for_alpha(m, [0, 3])
+        alpha0, inv0 = list(f.alpha), f.inv.copy()
         f2 = factor_update(factor_update(f, 2, "add"), 2, "remove")
-        assert f2.alpha == [0, 3]
-        assert f2.inv == pytest.approx(f.inv, abs=1e-12)
+        assert f2 is f
+        assert alpha0 == [0, 3] and f2.alpha == alpha0
+        assert inv0 == pytest.approx(scratch_inverse(m, alpha0), abs=1e-12)
+        assert f2.inv == pytest.approx(inv0, abs=1e-12)
 
     def test_add_to_empty(self):
         m = SymMatrix.from_dense([[2.0]])
@@ -91,6 +95,6 @@ class TestFactorUpdate:
         a = m.full()
         idx = [0, 2, 3]
         expected = a[4, 4] - a[4, idx] @ np.linalg.solve(a[np.ix_(idx, idx)], a[idx, 4])
-        assert f.schur_scalar(4) == pytest.approx(expected)
-        col = f.column_solve(4)
+        col, sigma = f.border(4)
+        assert sigma == pytest.approx(expected)
         assert col == pytest.approx(np.linalg.solve(a[np.ix_(idx, idx)], a[idx, 4]))

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from pppa import (FactorState, ParamState, Partition, PivotDecision,
+from pppa import (FactorState, GenSpec, ParamState, Partition, PivotDecision,
                   QpInstance, Stats, SymMatrix, apply_pivot, compute_bars,
-                  enumerate_active_sets, kkt_residual, ratio_test_tau,
-                  recession_check, second_ratio_test, solution_at_tau,
-                  solve_pd, solve_psd)
+                  enumerate_active_sets, gen_sbar_random, kkt_residual, ratio_test_tau,
+                  recession_check, reductions, second_ratio_test, solution_at_tau,
+                  solve_pd, solve_psd, solve_sbar)
 from pppa.errors import PreconditionViolated
+from pppa.pivoting import _iteration_flops
 
-from helpers import make_instance, objectives_match, random_sbar
+from helpers import make_instance, objectives_match, random_pd, random_sbar
 
 
 def _state(partition, qbar, pbar, tau=np.inf, factor=None):
@@ -351,3 +352,61 @@ class TestEngineProperties:
                 assert recession_check(inst, out.ray)
                 assert enumerate_active_sets(inst).status == "unbounded"
         assert two_by_two_seen >= 10
+
+
+class TestDenseFactorAlongTheSolve:
+    """The in-place factor tracks the partition at every pivot and never writes M."""
+
+    @staticmethod
+    def _watch(kinds):
+        def watch(state, tau_new, decision):
+            factor = state.factor
+            assert sorted(factor.alpha) == state.partition.alpha.tolist()
+            assert factor.residual() <= 1e-8
+            if decision is not None:
+                kinds.add(decision.kind)
+        return watch
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_sbar_random(self, monkeypatch, seed):
+        inst = gen_sbar_random(GenSpec(family="sbar_random", n=200, rho=0.2, seed=seed))
+        kinds, originals = set(), []
+
+        def traced(sub, *args, **kwargs):
+            originals.append((sub.m, sub.m.full().copy()))
+            return solve_psd(sub, *args, callback=self._watch(kinds), **kwargs)
+
+        monkeypatch.setattr(reductions, "solve_psd", traced)
+        before = inst.m.full().copy()
+        assert solve_sbar(inst, check=False).status == "optimal"
+        assert {"from_lower", "to_upper"} <= kinds
+        assert inst.m.full().tobytes() == before.tobytes()
+        assert all(m.full().tobytes() == a.tobytes() for m, a in originals)
+
+    def test_finite_bounds_and_exchanges(self):
+        # A box that sends basic variables to their upper bounds, then the
+        # singular 2-variable family, whose exchanges remove and add at once.
+        rng = np.random.default_rng(11)
+        n = 40
+        box = [(random_pd(rng, n), rng.uniform(-5.0, 1.0, size=n), rng.uniform(0.025, 0.05, size=n))]
+        pairs = []
+        for _ in range(30):
+            c = rng.uniform(0.5, 2.0)
+            pairs.append(([[c, -c], [-c, c]], rng.uniform(-3.0, -0.1, size=2),
+                          rng.uniform(0.5, 3.0, size=2)))
+        for cases, expected in ((box, "to_upper"), (pairs, "exchange_to_upper")):
+            kinds = set()
+            for m, q, u in cases:
+                inst = make_instance(m, q, u)
+                before = inst.m.full().copy()
+                solve_psd(inst, np.ones(inst.n), callback=self._watch(kinds))
+                assert inst.m.full().tobytes() == before.tobytes()
+            assert expected in kinds
+
+
+def test_dense_iteration_flops_count_the_alpha_kernels():
+    n, k = 600, 300
+    # 2 columns x 2 flops x (k^2 + (n-k)k) for the bars, 2k^2 each for the
+    # factor's column solve and rank-one update, 8n for the vector work;
+    # a full n x n product per column would charge 4n^2 = 1_440_000 alone.
+    assert _iteration_flops(n, k, banded=False) == 720_000 + 360_000 + 4_800

@@ -159,6 +159,27 @@ class TestBandedParse:
         assert (inst.m._dense is None) == inst.m.tridiagonal
         assert np.array_equal(inst.m.full(), expected)
 
+    def test_dense_parse_wraps_the_filled_array(self):
+        # The filled array is already symmetric: no n x n re-symmetrization
+        # temporaries, and the same bits as from_dense (-0.0 included).
+        import tracemalloc
+
+        n = 600
+        text = write_qpb(gen_sbar_random(GenSpec(family="sbar_random", n=n, rho=0.2, seed=3)))
+        tracemalloc.start()
+        try:
+            inst, _ = parse_qpb(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = n * n * 8
+        assert peak < 4 * matrix_bytes, f"peak {peak / 2 ** 20:.1f} MB"
+        signed = parse_qpb("qpb 1\nn 3\nq 0 0 0\nu 1 1 1\nm 4\n"
+                           "1 1 -0.0\n1 3 -0.0\n2 2 1.5\n3 2 -2\n")[0]
+        for m in (inst.m, signed.m):
+            a = m.full()
+            assert a.tobytes() == SymMatrix.from_dense(a.copy()).full().tobytes()
+
     def test_tridiagonal_structure_rejects_out_of_band(self):
         text = ("qpb 1\nstructure tridiagonal\nn 3\nq 0 0 0\nu 1 1 1\nm 3\n"
                 "1 1 1\n1 3 0.5\n3 3 1\n")
