@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import IterationCap, PreconditionViolated
 from .factors import FactorState, factor_update
-from .matrices import SymMatrix, as_sym, quadratic_objective, tridiag_solve
+from .matrices import (SymMatrix, alpha_runs, as_sym, quadratic_objective, tridiag_run_solve,
+                       tridiag_solve)
 from .tolerances import (TOL_PIVOT, TOL_PSD, TOL_RATIO, TOL_RAY_NEGATIVE, TOL_RAY_ZERO,
                          TOL_TAU_OPTIMAL)
 
@@ -155,7 +156,8 @@ class ParamState:
     """One engine iteration's view: partition, tau, bar vectors, factor.
 
     ``factor`` is None on tridiagonal input, whose M_aa systems are
-    solved run by run with ``tridiag_solve``.
+    solved run by run.  ``mug`` is the running M @ (u on gamma, 0
+    elsewhere) that the bars were computed with.
     """
 
     partition: Partition
@@ -164,6 +166,7 @@ class ParamState:
     pbar: np.ndarray | None
     factor: FactorState | None
     stats: Stats = field(default_factory=Stats)
+    mug: np.ndarray | None = None
 
 
 @dataclass
@@ -226,6 +229,33 @@ def compute_bars(instance: QpInstance, partition: Partition, p: np.ndarray,
     return qbar, pbar
 
 
+def _ratio_candidates(labels, qbar, pbar, u, threshold: float):
+    """First-ratio-test quotients: -qbar/pbar on beta and -(u + qbar)/pbar on
+    alpha where pbar > threshold, -inf (no candidate) elsewhere.
+
+    Only candidates are divided, so a zero pbar elsewhere raises no
+    warning; an infinite u gives -inf, the no-candidate value.
+    """
+    rising = pbar > threshold
+    ratios_b = np.divide(-qbar, pbar, out=np.full(pbar.shape, -np.inf),
+                         where=rising & (labels == BETA))
+    ratios_a = np.divide(-(u + qbar), pbar, out=np.full(pbar.shape, -np.inf),
+                         where=rising & (labels == ALPHA))
+    return ratios_b, ratios_a
+
+
+def _select(ratios_b: np.ndarray, ratios_a: np.ndarray, tau_eps: float):
+    # argmax returns the first, i.e. smallest, index attaining the maximum.
+    i_b, i_a = int(ratios_b.argmax()), int(ratios_a.argmax())
+    best_b, best_a = float(ratios_b[i_b]), float(ratios_a[i_a])
+    tau_new = max(best_b, best_a, 0.0)
+    if tau_new <= tau_eps:
+        return 0.0, "optimal", None
+    if best_b >= best_a:
+        return tau_new, "from_lower", i_b
+    return tau_new, "to_upper", i_a
+
+
 def ratio_test_tau(state: ParamState, u: np.ndarray, tau_eps: float = 0.0):
     """First ratio test: next critical tau and the blocking index.
 
@@ -233,23 +263,12 @@ def ratio_test_tau(state: ParamState, u: np.ndarray, tau_eps: float = 0.0):
     'from_lower'}.  Exact ties prefer beta candidates, then the
     smallest index.
     """
-    qbar, pbar, labels = state.qbar, state.pbar, state.partition.labels
-    rising = pbar > TOL_RATIO * float(np.max(np.abs(pbar), initial=0.0))
-    # np.where drops the quotients outside the candidate masks, so their
-    # division warnings are noise; an infinite u gives -inf, the no-candidate value.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios_b = np.where(rising & (labels == BETA), -qbar / pbar, -np.inf)
-        ratios_a = np.where(rising & (labels == ALPHA), -(u + qbar) / pbar, -np.inf)
-    best_b = float(np.max(ratios_b, initial=-np.inf))
-    best_a = float(np.max(ratios_a, initial=-np.inf))
-
-    tau_new = max(best_b, best_a, 0.0)
-    if tau_new <= tau_eps:
+    pbar = state.pbar
+    if pbar.size == 0:
         return 0.0, "optimal", None
-    # argmax returns the first, i.e. smallest, index attaining the maximum.
-    if best_b >= best_a:
-        return tau_new, "from_lower", int(np.argmax(ratios_b))
-    return tau_new, "to_upper", int(np.argmax(ratios_a))
+    threshold = TOL_RATIO * float(np.max(np.abs(pbar)))
+    return _select(*_ratio_candidates(state.partition.labels, state.qbar, pbar, u, threshold),
+                   tau_eps)
 
 
 def second_ratio_test(state: ParamState, instance: QpInstance, i_bar: int,
@@ -344,39 +363,123 @@ def solution_at_tau(state: ParamState, instance: QpInstance, tau: float) -> np.n
     return x
 
 
-def _schur_diag(m: SymMatrix, labels: np.ndarray, alpha: np.ndarray, i: int) -> float:
-    """m_ii - M_{i,a} M_aa^{-1} M_{a,i} on tridiagonal input."""
-    rhs = np.zeros(m.n)
-    touched = False
-    for nb in (i - 1, i + 1):
-        if 0 <= nb < m.n and labels[nb] == ALPHA:
-            rhs[nb] = m.value(nb, i)
-            touched = touched or rhs[nb] != 0.0
-    if not touched:
-        return m.value(i, i)
-    z = np.zeros(m.n)
-    z[alpha] = tridiag_solve(m, alpha, rhs)
-    return float(m.value(i, i) - sum(m.value(i, nb) * z[nb] for nb in (i - 1, i + 1) if 0 <= nb < m.n))
+def _widen_to_runs(labels: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
+    """Grow [lo, hi) until neither end cuts through an alpha run.
+
+    Scans 4, 16, 64, ... labels at a time, so the cost follows the run
+    length, not n.
+    """
+    width = 4
+    while lo > 0 and labels[lo - 1] == ALPHA:
+        s = max(lo - width, 0)
+        stops = np.flatnonzero(labels[s:lo] != ALPHA)
+        lo = s + int(stops[-1]) + 1 if stops.size else s
+        width *= 4
+    width, n = 4, labels.size
+    while hi < n and labels[hi] == ALPHA:
+        t = min(hi + width, n)
+        stops = np.flatnonzero(labels[hi:t] != ALPHA)
+        hi = hi + int(stops[0]) if stops.size else t
+        width *= 4
+    return lo, hi
 
 
-def _column_solve_embedded(m: SymMatrix, labels: np.ndarray, alpha: np.ndarray,
-                           i: int) -> np.ndarray:
-    """M_aa^{-1} M_{a,i} on tridiagonal input, scattered into a length-n vector (zero off alpha)."""
-    out = np.zeros(m.n)
-    if alpha.size == 0:
+class _BandedBars:
+    """qbar, pbar and the first-ratio-test candidates of tridiagonal input.
+
+    ``x`` holds M_aa^{-1} [q + mug, p]_a, zero off alpha.  A pivot that
+    relabels indices lo..hi, and so moves ``mug`` only within one index
+    of them, changes ``x`` only on the alpha runs that meet [lo-1, hi+1]
+    and the bars only on those runs and one index beyond.  :meth:`update`
+    recomputes just that window, with the operations of
+    ``compute_bars(factor=None)`` in the same order, so the bars stay
+    bitwise equal to a full recomputation with the same ``mug``.  The
+    candidate arrays are rebuilt over all n only when the ratio threshold
+    moved.
+    """
+
+    def __init__(self, instance: QpInstance, p: np.ndarray, partition: Partition,
+                 mug: np.ndarray):
+        n = instance.n
+        self.d, self.e = instance.m.band()
+        self.q, self.u, self.p, self.mug = instance.q, instance.u, p, mug
+        self.labels = partition.labels
+        self.tol_abs = TOL_PIVOT * instance.m.scale()
+        self.qbar, self.pbar = compute_bars(instance, partition, p, None, mug=mug)
+        self.x = np.zeros((n, 2))
+        self.x[partition.alpha] = np.column_stack([self.qbar, self.pbar])[partition.alpha]
+        self.cand_b, self.cand_a = np.empty(n), np.empty(n)
+        self.threshold = np.nan
+        # Counts for _iteration_flops: entries the last update re-solved, the
+        # [lo, hi) its bars covered, candidates the last ratio test rebuilt.
+        self.solved, self.window, self.rebuilt = n, (0, n), 0
+
+    def update(self, lo: int, hi: int) -> None:
+        """Refresh x and the bars after a pivot that relabelled indices lo..hi."""
+        labels, x, d, e, n = self.labels, self.x, self.d, self.e, self.labels.size
+        a, b = _widen_to_runs(labels, max(lo - 1, 0), min(hi + 2, n))
+        x[a:b] = 0.0
+        for s, t in alpha_runs(a + np.flatnonzero(labels[a:b] == ALPHA)):
+            rhs = np.empty((t - s, 2))
+            np.add(self.q[s:t], self.mug[s:t], out=rhs[:, 0])
+            rhs[:, 1] = self.p[s:t]
+            x[s:t] = tridiag_run_solve(d, e, s, t, rhs, self.tol_abs)
+        lo, hi = max(a - 1, 0), min(b + 1, n)
+        # SymMatrix.matvec's order: d*x, then + e*x[+1], then + e*x[-1].
+        y = d[lo:hi, None] * x[lo:hi]
+        top, bot = min(hi, n - 1), max(lo, 1)
+        y[:top - lo] += e[lo:top, None] * x[lo + 1:top + 1]
+        y[bot - lo:] += e[bot - 1:hi - 1, None] * x[bot - 1:hi - 1]
+        basic = labels[lo:hi] == ALPHA
+        self.qbar[lo:hi] = np.where(basic, x[lo:hi, 0],
+                                    (self.q[lo:hi] + self.mug[lo:hi]) - y[:, 0])
+        self.pbar[lo:hi] = np.where(basic, x[lo:hi, 1], self.p[lo:hi] - y[:, 1])
+        self.solved, self.window = b - a, (lo, hi)
+
+    def ratio_test(self, tau_eps: float):
+        """``ratio_test_tau`` on the current bars; candidates outside the window are reused."""
+        pbar = self.pbar
+        threshold = TOL_RATIO * max(float(pbar.max()), -float(pbar.min()))
+        lo, hi = self.window if threshold == self.threshold else (0, pbar.size)
+        self.threshold, self.rebuilt = threshold, hi - lo
+        self.cand_b[lo:hi], self.cand_a[lo:hi] = _ratio_candidates(
+            self.labels[lo:hi], self.qbar[lo:hi], pbar[lo:hi], self.u[lo:hi], threshold)
+        return _select(self.cand_b, self.cand_a, tau_eps)
+
+    def _border_runs(self, i: int):
+        """M_aa^{-1} M_{a,i} for i outside alpha, run by run.
+
+        Only the alpha runs holding a coupled neighbour of i have a
+        nonzero right-hand side; yields ``(nb, s, t, y)`` for each such
+        run [s, t) and its solution y.  Every other run of the solution is zero.
+        """
+        labels, d, e = self.labels, self.d, self.e
+        for nb in (i - 1, i + 1):
+            if 0 <= nb < labels.size and labels[nb] == ALPHA and e[min(nb, i)] != 0.0:
+                s, t = _widen_to_runs(labels, nb, nb + 1)
+                rhs = np.zeros((t - s, 1))
+                rhs[nb - s, 0] = e[min(nb, i)]
+                yield nb, s, t, tridiag_run_solve(d, e, s, t, rhs, self.tol_abs)[:, 0]
+
+    def schur_diag(self, i: int) -> float:
+        """m_ii - M_{i,a} M_aa^{-1} M_{a,i}."""
+        return float(self.d[i] - sum(self.e[min(nb, i)] * y[nb - s]
+                                     for nb, s, _, y in self._border_runs(i)))
+
+    def column_solve(self, i: int) -> np.ndarray:
+        """M_aa^{-1} M_{a,i} scattered into a length-n vector (zero off alpha)."""
+        out = np.zeros(self.labels.size)
+        for _, s, t, y in self._border_runs(i):
+            out[s:t] = y
         return out
-    rhs = np.zeros(m.n)
-    for nb in (i - 1, i + 1):
-        if 0 <= nb < m.n and labels[nb] == ALPHA:
-            rhs[nb] = m.value(nb, i)
-    out[alpha] = tridiag_solve(m, alpha, rhs)
-    return out
 
 
-def _iteration_flops(n: int, k: int, banded: bool) -> int:
-    # Faithful operation-count formulas for the kernels that actually ran.
-    if banded:
-        return 5 * n * 3 + 16 * k + 8 * n
+def _iteration_flops(n: int, k: int, bars: _BandedBars | None = None) -> int:
+    if bars is not None:
+        # Entries touched: two columns of x re-solved and two bars on the
+        # window, two candidate arrays rebuilt, and four selection passes
+        # over n (max and min of pbar, one argmax per candidate array).
+        return 2 * (bars.solved + (bars.window[1] - bars.window[0]) + bars.rebuilt) + 4 * n
     # Two bar columns of k^2 + (n-k)k multiply-adds each (4nk flops), the
     # factor's column solve and rank-one update (4k^2), O(n) vector work.
     return 4 * n * k + 4 * k * k + 8 * n
@@ -416,22 +519,29 @@ def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
 
     banded = m.tridiagonal
     factor = None if banded else FactorState.for_alpha(m, [])
-    state = ParamState(partition=Partition.initial(n), tau_cur=np.inf,
-                       qbar=None, pbar=None, factor=factor, stats=stats)
-    labels = state.partition.labels
     mug = np.zeros(n)
+    state = ParamState(partition=Partition.initial(n), tau_cur=np.inf,
+                       qbar=None, pbar=None, factor=factor, stats=stats, mug=mug)
+    labels = state.partition.labels
     cap = max_pivots if max_pivots is not None else max(3 * n, 4)
     tau_eps = None
+    bars = None
+    if banded:
+        # The bars object owns qbar and pbar and updates them in place.
+        bars = _BandedBars(instance, p, state.partition, mug)
+        state.qbar, state.pbar = bars.qbar, bars.pbar
 
     while True:
-        alpha_arr = np.flatnonzero(labels == ALPHA)
-        qbar, pbar = compute_bars(instance, state.partition, p, factor, mug=mug)
-        state.qbar, state.pbar = qbar, pbar
-        it_flops = _iteration_flops(n, alpha_arr.size, banded)
+        if banded:
+            tau_new, kind, i_bar = bars.ratio_test(tau_eps or 0.0)
+            it_flops = _iteration_flops(n, 0, bars)
+        else:
+            state.qbar, state.pbar = compute_bars(instance, state.partition, p, factor, mug=mug)
+            it_flops = _iteration_flops(n, factor.k)
+            tau_new, kind, i_bar = ratio_test_tau(state, u, tau_eps=tau_eps or 0.0)
         stats.flops += it_flops
         stats.max_iter_flops = max(stats.max_iter_flops, it_flops)
 
-        tau_new, kind, i_bar = ratio_test_tau(state, u, tau_eps=tau_eps or 0.0)
         if tau_eps is None:
             tau_eps = TOL_TAU_OPTIMAL * max(1.0, tau_new)
         if kind == "optimal":
@@ -446,18 +556,18 @@ def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
             decision = PivotDecision(kind="to_upper", i_bar=i_bar, tau_new=tau_new)
         else:
             if banded:
-                mhat, sigma = None, _schur_diag(m, labels, alpha_arr, i_bar)
+                mhat, sigma = None, bars.schur_diag(i_bar)
             else:
                 mhat, sigma = factor.border(i_bar)
             if sigma > TOL_PIVOT * scale:
                 decision = PivotDecision(kind="from_lower", i_bar=i_bar, tau_new=tau_new, mhat=mhat)
             else:
-                mhat = (_column_solve_embedded(m, labels, alpha_arr, i_bar) if banded
-                        else factor.embed(mhat))
+                mhat = bars.column_solve(i_bar) if banded else factor.embed(mhat)
                 rho, sub_kind, j_bar = second_ratio_test(state, instance, i_bar, tau_new, mhat)
                 if sub_kind == "unbounded":
                     d = np.zeros(n)
                     d[i_bar] = 1.0
+                    alpha_arr = np.flatnonzero(labels == ALPHA)
                     d[alpha_arr] = -mhat[alpha_arr]
                     d[np.abs(d) <= TOL_RAY_ZERO * max(1.0, float(np.max(np.abs(d))))] = 0.0
                     d[(d < 0.0) & (d > -TOL_RAY_NEGATIVE)] = 0.0
@@ -485,6 +595,9 @@ def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
                 mug += u[entered] * m.full()[entered]  # a row: M is symmetric
         if stats.pivots > cap:
             raise IterationCap(f"pivot count exceeded {cap} (3n cap); degeneracy anomaly")
+        if banded:
+            moved = (decision.i_bar,) if decision.j_bar is None else (decision.i_bar, decision.j_bar)
+            bars.update(min(moved), max(moved))
 
 
 def solve_pd(instance: QpInstance, p, **kwargs) -> SolveOutcome:

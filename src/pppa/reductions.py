@@ -189,10 +189,14 @@ def flip_variable(m: SymMatrix, q: np.ndarray, i: int, u_i: float):
     if m.tridiagonal:
         d, e = m.band()
         e2 = e.copy()
+        col = np.zeros(n)
+        col[i] = d[i]
         if i > 0:
             e2[i - 1] = -e2[i - 1]
+            col[i - 1] = e[i - 1]
         if i < n - 1:
             e2[i] = -e2[i]
+            col[i + 1] = e[i]
         m2 = SymMatrix.from_banded(d, e2)
     else:
         # Conjugation by the signature matrix: row and column i flip,
@@ -201,7 +205,7 @@ def flip_variable(m: SymMatrix, q: np.ndarray, i: int, u_i: float):
         a[i, :] = -a[i, :]
         a[:, i] = -a[:, i]
         m2 = SymMatrix.from_dense(a)
-    col = np.array([m.value(j, i) for j in range(n)]) if m.tridiagonal else m.full()[:, i]
+        col = m.full()[:, i]
     q2 = q + u_i * col
     q2[i] = -(q[i] + m.value(i, i) * u_i)
     return m2, q2

@@ -76,3 +76,34 @@ def make_instance(m, q, u):
 
 def objectives_match(a, b, tol=1e-8):
     return abs(a - b) <= tol * (1.0 + abs(b))
+
+
+def banded_family(count=400, seed=3):
+    """Seeded tridiagonal instances (d, e, q, u, p) for banded-vs-dense checks.
+
+    n runs from 1 to 29; about 20% of the couplings are zero, so the
+    matrix splits into blocks; about half the matrices are singular
+    (d = |e_left| + |e_right|, an isolated index gets a positive d);
+    about 40% of the bounds are infinite; p = 10 + |q| is positive.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(1, 30))
+        e = rng.uniform(-1.0, 1.0, size=n - 1)
+        e[rng.uniform(size=n - 1) < 0.2] = 0.0
+        d = np.zeros(n)
+        d[:-1] += np.abs(e)
+        d[1:] += np.abs(e)
+        if rng.uniform() < 0.5:
+            d += rng.uniform(0.1, 1.0, size=n)
+        d[d == 0.0] = rng.uniform(0.5, 1.5)
+        q = rng.uniform(-4.0, 4.0, size=n)
+        u = np.where(rng.uniform(size=n) < 0.4, np.inf, rng.uniform(0.5, 3.0, size=n))
+        out.append((d, e, q, u, 10.0 + np.abs(q)))
+    return out
+
+
+def dense_of_band(d, e):
+    """The n x n array of the symmetric tridiagonal matrix with diagonal d and couplings e."""
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pppa import (SymMatrix, comparison_matrix, irreducible_components, is_pd,
                   is_psd, principal_pivot_transform, schur_complement,
                   tridiag_solve)
-from pppa.errors import SingularBlock
-from pppa.matrices import _pivoted_cholesky, _pivoted_cholesky_pivots, definiteness
+from pppa.errors import SingularBlock, SingularPivot
+from pppa.matrices import (_pivoted_cholesky, _pivoted_cholesky_pivots, definiteness,
+                           tridiag_run_solve)
 from pppa.tolerances import TOL_PIVOT, TOL_PSD
 
 from helpers import random_pd, random_sbar, random_symmetric, random_tridiagonal_sym
@@ -370,6 +372,32 @@ class TestTridiagSolve:
         out = tridiag_solve(m, [0, 1, 2], rhs)
         dense = np.linalg.solve(m.full(), rhs)
         assert out == pytest.approx(dense)
+
+    def test_run_solve_is_solve_banded_to_the_bit(self):
+        # solve_banded((1, 1), ...) is the reference: the same gtsv call,
+        # so equal bits, and SingularPivot exactly where it raises.
+        rng = np.random.default_rng(19)
+        singular = 0
+        for _ in range(3000):
+            k = int(rng.integers(2, 12))
+            d = rng.uniform(-1.0, 2.0, size=k)
+            e = rng.uniform(-1.0, 1.0, size=k - 1)
+            e[rng.uniform(size=k - 1) < 0.3] = 0.0
+            if rng.uniform() < 0.1:
+                d[int(rng.integers(0, k))] = 0.0
+            rhs = rng.uniform(-3.0, 3.0, size=(k, int(rng.integers(1, 3))))
+            ab = np.zeros((3, k))
+            ab[0, 1:], ab[1], ab[2, :-1] = e, d, e
+            try:
+                ref = scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
+            except np.linalg.LinAlgError:
+                singular += 1
+                with pytest.raises(SingularPivot):
+                    tridiag_run_solve(d, e, 0, k, rhs, 0.0)
+                continue
+            if np.all(np.isfinite(ref)):
+                assert tridiag_run_solve(d, e, 0, k, rhs, 0.0).tobytes() == ref.tobytes()
+        assert singular > 0
 
 
 class TestSymMatrix:

@@ -2,8 +2,10 @@
 
 The expected digests pin the exact ``(kind, i_bar, j_bar)`` sequence that
 ``solve_psd`` reports through its ``callback`` hook.  They were recorded
-with the earlier tuple-based partition (numpy 2.4, OpenBLAS, x86-64); a
-change of the partition's representation must leave every one unchanged.
+with the earlier tuple-based partition (numpy 2.4, OpenBLAS, x86-64), the
+banded family's with the full per-pivot banded bar solve; a change of the
+partition's representation or of how the bars are updated must leave
+every one unchanged.
 """
 
 import hashlib
@@ -17,6 +19,8 @@ from pppa import (GenSpec, ParamState, Partition, PivotDecision, QpInstance, Sta
                   second_ratio_test, solve_psd, solve_sbar)
 from pppa.tolerances import TOL_RATIO
 from pppa import reductions
+
+from helpers import banded_family
 
 
 def _digest(events) -> str:
@@ -90,6 +94,23 @@ def test_two_by_two_family_sequence():
     kinds = {e[0] for e in events}
     assert {"at_ub", "exchange_to_upper"} <= kinds
     assert (len(events), _digest(events)) == (195, "bc9fb85f6b06dc0f")
+
+
+def test_banded_family_sequence():
+    # The banded-vs-dense family of
+    # test_pivoting.py::TestBandedAgainstDense, solved on banded storage.
+    events = []
+
+    def record(state, tau_new, decision):
+        if decision is None:
+            events.append(("stop", -1, None))
+        else:
+            events.append((decision.kind, decision.i_bar, decision.j_bar))
+
+    for d, e, q, u, p in banded_family():
+        solve_psd(QpInstance(SymMatrix.from_banded(d, e), q, u), p, callback=record)
+    assert {"at_ub", "exchange_to_lower", "exchange_to_upper"} <= {e[0] for e in events}
+    assert (len(events), _digest(events)) == (4450, "7ef7d8a6b655c119")
 
 
 KINDS = ("to_upper", "from_lower", "at_ub", "exchange_to_lower", "exchange_to_upper")

@@ -3,13 +3,14 @@ import pytest
 
 from pppa import (FactorState, GenSpec, ParamState, Partition, PivotDecision,
                   QpInstance, Stats, SymMatrix, apply_pivot, compute_bars,
-                  enumerate_active_sets, gen_sbar_random, kkt_residual, ratio_test_tau,
-                  recession_check, reductions, second_ratio_test, solution_at_tau,
-                  solve_pd, solve_psd, solve_sbar)
+                  enumerate_active_sets, gen_sbar_random, gen_tridiagonal, kkt_residual,
+                  ratio_test_tau, recession_check, reductions, second_ratio_test,
+                  solution_at_tau, solve_pd, solve_psd, solve_sbar)
 from pppa.errors import PreconditionViolated
-from pppa.pivoting import _iteration_flops
+from pppa.pivoting import ALPHA, _BandedBars, _iteration_flops
 
-from helpers import make_instance, objectives_match, random_pd, random_sbar
+from helpers import (banded_family, dense_of_band, make_instance, objectives_match, random_pd,
+                     random_sbar)
 
 
 def _state(partition, qbar, pbar, tau=np.inf, factor=None):
@@ -71,6 +72,10 @@ class TestRatioTest:
         st = _state(Partition.initial(2), [1.0, 0.0], [1.0, 1.0])
         tau, kind, i = ratio_test_tau(st, np.full(2, np.inf))
         assert (tau, kind, i) == (0.0, "optimal", None)
+
+    def test_empty_is_optimal(self):
+        st = _state(Partition.initial(0), [], [])
+        assert ratio_test_tau(st, np.zeros(0)) == (0.0, "optimal", None)
 
     def test_alpha_upper_bound_candidate(self):
         st = _state(Partition(alpha=(0,), beta=(), gamma=()), [-2.0], [1.0])
@@ -409,4 +414,98 @@ def test_dense_iteration_flops_count_the_alpha_kernels():
     # 2 columns x 2 flops x (k^2 + (n-k)k) for the bars, 2k^2 each for the
     # factor's column solve and rank-one update, 8n for the vector work;
     # a full n x n product per column would charge 4n^2 = 1_440_000 alone.
-    assert _iteration_flops(n, k, banded=False) == 720_000 + 360_000 + 4_800
+    assert _iteration_flops(n, k) == 720_000 + 360_000 + 4_800
+
+
+class TestBandedAgainstDense:
+    """The run-local banded path against the dense factor path on the same matrices."""
+
+    def test_family_agrees(self):
+        kinds, unbounded = set(), 0
+
+        def watch(state, tau_new, decision):
+            if decision is not None:
+                kinds.add(decision.kind)
+
+        for d, e, q, u, p in banded_family():
+            banded = QpInstance(SymMatrix.from_banded(d, e), q, u)
+            dense = QpInstance(SymMatrix.from_dense(dense_of_band(d, e)), q, u)
+            ob = solve_psd(banded, p, callback=watch)
+            od = solve_psd(dense, p)
+            assert ob.status == od.status
+            if ob.status == "optimal":
+                assert abs(ob.objective - od.objective) <= 1e-7 * max(1.0, abs(od.objective))
+            else:
+                unbounded += 1
+                assert recession_check(banded, ob.ray) and recession_check(dense, od.ray)
+            assert banded.m._dense is None
+        assert kinds == {"from_lower", "to_upper", "at_ub", "exchange_to_lower",
+                         "exchange_to_upper"}
+        assert unbounded >= 8
+
+
+def _bars_watch(instance, p, seen):
+    """A callback that checks the in-place bars against a full recomputation
+    and the pivot the kept candidates chose against a fresh ratio test."""
+    def watch(state, tau_new, decision):
+        qbar, pbar = compute_bars(instance, state.partition, p, None, mug=state.mug)
+        assert state.qbar.tobytes() == qbar.tobytes()
+        assert state.pbar.tobytes() == pbar.tobytes()
+        if decision is not None:
+            tau, _, i_bar = ratio_test_tau(state, instance.u)
+            assert (tau, i_bar) == (tau_new, decision.i_bar)
+        seen.append(decision)
+    return watch
+
+
+class TestBandedBarsInvariant:
+    """At every callback the run-local bars equal compute_bars(factor=None) bitwise."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 1000])
+    def test_tridiagonal(self, monkeypatch, n):
+        seen = []
+
+        def traced(sub, p, **kwargs):
+            return solve_psd(sub, p, callback=_bars_watch(sub, np.asarray(p, dtype=float), seen),
+                             **kwargs)
+
+        monkeypatch.setattr(reductions, "solve_psd", traced)
+        inst = gen_tridiagonal(GenSpec(family="tridiagonal", n=n, seed=n))
+        out = solve_sbar(inst, check=False)
+        assert out.status == "optimal"
+        assert seen and len([dec for dec in seen if dec is not None]) == out.stats.pivots
+
+    def test_family(self):
+        seen = []
+        for d, e, q, u, p in banded_family():
+            inst = QpInstance(SymMatrix.from_banded(d, e), q, u)
+            solve_psd(inst, p, callback=_bars_watch(inst, p, seen))
+        assert len(seen) == 4450
+
+
+def test_banded_iteration_flops_count_one_window():
+    # alpha = {9, 10}; 11 enters: the window 10..12 widens to 9..12 (the
+    # run 9..11 and index 12), the bars cover 8..13 and, the largest |pbar|
+    # staying at index 0, the candidates are rebuilt there alone.
+    n = 20
+    d = np.full(n, 3.0)
+    e = np.full(n - 1, -1.0)
+    q = np.full(n, -1.0)
+    p = np.ones(n)
+    p[0] = 100.0
+    inst = QpInstance(SymMatrix.from_banded(d, e), q, np.full(n, np.inf))
+    part = Partition(alpha=[9, 10], beta=[k for k in range(n) if k not in (9, 10)], gamma=[])
+    mug = np.zeros(n)
+    bars = _BandedBars(inst, p, part, mug)
+    bars.ratio_test(0.0)
+    part.labels[11] = ALPHA
+    bars.update(11, 11)
+    bars.ratio_test(0.0)
+    assert (bars.solved, bars.window, bars.rebuilt) == (4, (8, 14), 6)
+    assert _iteration_flops(n, 3, bars) == 2 * (4 + 6 + 6) + 4 * n
+    qbar, pbar = compute_bars(inst, part, p, None, mug=mug)
+    assert bars.qbar.tobytes() == qbar.tobytes() and bars.pbar.tobytes() == pbar.tobytes()
+    fresh = _BandedBars(inst, p, part, mug)
+    fresh.ratio_test(0.0)
+    assert bars.cand_b.tobytes() == fresh.cand_b.tobytes()
+    assert bars.cand_a.tobytes() == fresh.cand_a.tobytes()

@@ -12,7 +12,8 @@ from pppa.errors import (ClassificationFailed, InvariantViolation,
 from pppa.generate import GenSpec, gen_sbar_nk, gen_sbar_random
 from pppa.reductions import DropStep, FlipStep, ReductionTrace
 
-from helpers import dyadic_laplacian, make_instance, objectives_match, random_sbar
+from helpers import (dense_of_band, dyadic_laplacian, make_instance, objectives_match,
+                     random_sbar)
 
 
 class TestPreprocessZeroDiag:
@@ -77,6 +78,24 @@ class TestReduceNonpositiveRow:
         m2, q2 = flip_variable(m1, q1, 2, 1.5)
         assert m2.full() == pytest.approx(m.full())
         assert q2 == pytest.approx(q)
+
+    def test_banded_flip_matches_dense_bitwise(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            d = rng.uniform(0.5, 2.0, size=n)
+            e = rng.uniform(-1.0, 1.0, size=n - 1)
+            e[rng.uniform(size=n - 1) < 0.3] = 0.0
+            q = rng.uniform(-2.0, 2.0, size=n)
+            q[rng.uniform(size=n) < 0.2] = -0.0
+            i, u_i = int(rng.integers(0, n)), rng.uniform(0.5, 3.0)
+            banded = SymMatrix.from_banded(d, e)
+            mb, qb = flip_variable(banded, q, i, u_i)
+            md, qd = flip_variable(SymMatrix.from_dense(dense_of_band(d, e)), q, i, u_i)
+            assert qb.tobytes() == qd.tobytes()
+            # Equal values; a flipped zero coupling is -0.0 on the band.
+            assert np.array_equal(mb.full(), md.full())
+            assert mb.tridiagonal and banded._dense is None
 
     def test_preconditions_enforced(self):
         inst = make_instance([[2, 1], [1, 2]], [-1.0, 0.0], [np.inf, np.inf])
