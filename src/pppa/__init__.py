@@ -14,9 +14,8 @@ from .classify import (ClassReport, blockwise_dominance_vector,
 from .factors import FactorState, factor_update
 from .generate import (GENERATOR_ID, GenSpec, gen_sbar_nk, gen_sbar_random,
                        gen_tridiagonal, generate)
-from .matrices import (PptResult, SymMatrix, as_sym, comparison_matrix,
-                       irreducible_components, is_pd, is_psd,
-                       principal_pivot_transform, quadratic_objective,
+from .matrices import (SymMatrix, as_sym, comparison_matrix,
+                       irreducible_components, is_pd, is_psd, quadratic_objective,
                        schur_complement, tridiag_solve)
 from .oracle import (KktPoint, enumerate_active_sets, find_recession_direction,
                      kkt_residual, recession_check)

@@ -122,6 +122,18 @@ class SymMatrix:
             return y
         return self.full() @ x
 
+    def add_column(self, out: np.ndarray, j: int, c: float) -> None:
+        """out += c * M[:, j] in place; three band entries if banded."""
+        if self.tridiagonal:
+            d, e = self._diag, self._sub
+            out[j] += c * d[j]
+            if j > 0:
+                out[j - 1] += c * e[j - 1]
+            if j < self.n - 1:
+                out[j + 1] += c * e[j]
+        else:
+            out += c * self.full()[j]  # a row: M is symmetric
+
     def submatrix(self, keep) -> "SymMatrix":
         """Principal submatrix on the (sorted) index set ``keep``."""
         keep = np.asarray(keep, dtype=int)
@@ -151,14 +163,6 @@ def as_sym(m) -> SymMatrix:
     if isinstance(m, SymMatrix):
         return m
     return SymMatrix.from_dense(m)
-
-
-@dataclass
-class PptResult:
-    """Principal pivot transform of a vector/matrix pair."""
-
-    transformed_vector: np.ndarray
-    transformed_matrix: np.ndarray
 
 
 def comparison_matrix(m) -> SymMatrix:
@@ -302,35 +306,6 @@ def schur_complement(m, alpha) -> SymMatrix:
     x = np.linalg.solve(maa, mac)
     s = a[np.ix_(rest, rest)] - mac.T @ x
     return SymMatrix.from_dense((s + s.T) / 2.0)
-
-
-def principal_pivot_transform(m, r, alpha) -> PptResult:
-    """Block pivot on M_aa applied to the pair (r, M).
-
-    Returns the transformed vector and matrix with blocks placed at
-    their original index positions; the complement/complement block of
-    the matrix equals the Schur complement of M_aa in M.
-    """
-    m = as_sym(m)
-    r = _as_vector(r)
-    alpha = np.asarray(sorted(alpha), dtype=int)
-    rest = _complement(m.n, alpha)
-    a = m.full()
-    if alpha.size == 0:
-        return PptResult(r.copy(), a.copy())
-    maa = a[np.ix_(alpha, alpha)]
-    _check_block_nonsingular(maa, m.scale())
-    inv = np.linalg.inv(maa)
-    mac = a[np.ix_(alpha, rest)]
-    vec = np.empty(m.n)
-    vec[alpha] = -inv @ r[alpha]
-    vec[rest] = r[rest] - a[np.ix_(rest, alpha)] @ (inv @ r[alpha])
-    out = np.empty_like(a)
-    out[np.ix_(alpha, alpha)] = inv
-    out[np.ix_(alpha, rest)] = -inv @ mac
-    out[np.ix_(rest, alpha)] = mac.T @ inv
-    out[np.ix_(rest, rest)] = a[np.ix_(rest, rest)] - mac.T @ inv @ mac
-    return PptResult(vec, out)
 
 
 def irreducible_components(m) -> list[np.ndarray]:

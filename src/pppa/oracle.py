@@ -18,7 +18,7 @@ import scipy.optimize
 from .errors import TooLarge
 from .matrices import as_sym
 from .pivoting import ERROR, OPTIMAL, UNBOUNDED, QpInstance, Ray, SolveOutcome, Stats
-from .tolerances import TOL_KKT, TOL_PSD
+from .tolerances import TOL_KERNEL_FLOOR, TOL_KKT, TOL_PSD
 
 ORACLE_MAX_N = 10
 
@@ -114,7 +114,7 @@ def find_recession_direction(instance: QpInstance, tol: float = TOL_PSD) -> np.n
     a = instance.m.full()[np.ix_(free, free)]
     scale = max(float(np.max(np.abs(np.diagonal(a)), initial=0.0)), 1e-30)
     vals, vecs = np.linalg.eigh(a)
-    kernel = vecs[:, np.abs(vals) <= max(tol * scale, 1e-12)]
+    kernel = vecs[:, np.abs(vals) <= max(tol * scale, TOL_KERNEL_FLOOR)]
     if kernel.shape[1] == 0:
         return None
     qf = instance.q[free]

@@ -153,7 +153,7 @@ class SolveOutcome:
 
 @dataclass
 class ParamState:
-    """One engine iteration's view: partition, tau, bar vectors, factor.
+    """One engine iteration's view: partition, bar vectors, factor.
 
     ``factor`` is None on tridiagonal input, whose M_aa systems are
     solved run by run.  ``mug`` is the running M @ (u on gamma, 0
@@ -161,7 +161,6 @@ class ParamState:
     """
 
     partition: Partition
-    tau_cur: float
     qbar: np.ndarray | None
     pbar: np.ndarray | None
     factor: FactorState | None
@@ -190,19 +189,6 @@ class PivotDecision:
     mhat: np.ndarray | None = None
 
 
-def _solve_embedded(m: SymMatrix, alpha: np.ndarray, rhs_full: np.ndarray) -> np.ndarray:
-    """M_aa^{-1} rhs_a scattered back into full-length (n, k) arrays."""
-    out = np.zeros_like(rhs_full)
-    if alpha.size == 0:
-        return out
-    if m.tridiagonal:
-        out[alpha] = tridiag_solve(m, alpha, rhs_full)
-    else:
-        a = m.full()
-        out[alpha] = np.linalg.solve(a[np.ix_(alpha, alpha)], rhs_full[alpha])
-    return out
-
-
 def compute_bars(instance: QpInstance, partition: Partition, p: np.ndarray,
                  factor=None, mug: np.ndarray | None = None):
     """Solve for (qbar, pbar): basic components via M_aa, nonbasic by substitution.
@@ -220,7 +206,11 @@ def compute_bars(instance: QpInstance, partition: Partition, p: np.ndarray,
         qbar, pbar = factor.bars(rhs)
         return qbar, pbar
     alpha = partition.alpha
-    sol = _solve_embedded(m, alpha, rhs)
+    sol = np.zeros_like(rhs)
+    if alpha.size and m.tridiagonal:
+        sol[alpha] = tridiag_solve(m, alpha, rhs)
+    elif alpha.size:
+        sol[alpha] = np.linalg.solve(m.full()[np.ix_(alpha, alpha)], rhs[alpha])
     prod = m.matvec(sol)
     qbar = q + mug - prod[:, 0]
     pbar = p - prod[:, 1]
@@ -350,7 +340,6 @@ def apply_pivot(state: ParamState, decision: PivotDecision) -> ParamState:
     if decision.kind not in ("to_upper", "from_lower"):
         stats.two_by_two += 1
     stats.pivots += 1
-    state.tau_cur = decision.tau_new
     return state
 
 
@@ -398,21 +387,21 @@ class _BandedBars:
     moved.
     """
 
-    def __init__(self, instance: QpInstance, p: np.ndarray, partition: Partition,
-                 mug: np.ndarray):
+    def __init__(self, instance: QpInstance, p: np.ndarray, state: ParamState):
         n = instance.n
         self.d, self.e = instance.m.band()
-        self.q, self.u, self.p, self.mug = instance.q, instance.u, p, mug
-        self.labels = partition.labels
+        self.q, self.u, self.p, self.mug = instance.q, instance.u, p, state.mug
+        self.labels = state.partition.labels
         self.tol_abs = TOL_PIVOT * instance.m.scale()
-        self.qbar, self.pbar = compute_bars(instance, partition, p, None, mug=mug)
+        # The engine owns qbar and pbar and updates them in place.
+        self.qbar, self.pbar = state.qbar, state.pbar = np.empty(n), np.empty(n)
         self.x = np.zeros((n, 2))
-        self.x[partition.alpha] = np.column_stack([self.qbar, self.pbar])[partition.alpha]
         self.cand_b, self.cand_a = np.empty(n), np.empty(n)
         self.threshold = np.nan
-        # Counts for _iteration_flops: entries the last update re-solved, the
-        # [lo, hi) its bars covered, candidates the last ratio test rebuilt.
-        self.solved, self.window, self.rebuilt = n, (0, n), 0
+        # Counts for flops(), kept by update() and ratio_test(): entries the last
+        # update re-solved, the [lo, hi) its bars covered, candidates rebuilt.
+        self.rebuilt = 0
+        self.update(0, n - 1)
 
     def update(self, lo: int, hi: int) -> None:
         """Refresh x and the bars after a pivot that relabelled indices lo..hi."""
@@ -461,28 +450,61 @@ class _BandedBars:
                 rhs[nb - s, 0] = e[min(nb, i)]
                 yield nb, s, t, tridiag_run_solve(d, e, s, t, rhs, self.tol_abs)[:, 0]
 
-    def schur_diag(self, i: int) -> float:
-        """m_ii - M_{i,a} M_aa^{-1} M_{a,i}."""
-        return float(self.d[i] - sum(self.e[min(nb, i)] * y[nb - s]
-                                     for nb, s, _, y in self._border_runs(i)))
+    def border(self, i: int) -> tuple[None, float]:
+        """(None, m_ii - M_{i,a} M_aa^{-1} M_{a,i}); :meth:`column` solves for the vector."""
+        return None, float(self.d[i] - sum(self.e[min(nb, i)] * y[nb - s]
+                                           for nb, s, _, y in self._border_runs(i)))
 
-    def column_solve(self, i: int) -> np.ndarray:
+    def column(self, i: int, mhat: None) -> np.ndarray:
         """M_aa^{-1} M_{a,i} scattered into a length-n vector (zero off alpha)."""
         out = np.zeros(self.labels.size)
         for _, s, t, y in self._border_runs(i):
             out[s:t] = y
         return out
 
+    def refresh(self, decision: PivotDecision) -> None:
+        moved = (decision.i_bar,) if decision.j_bar is None else (decision.i_bar, decision.j_bar)
+        self.update(min(moved), max(moved))
 
-def _iteration_flops(n: int, k: int, bars: _BandedBars | None = None) -> int:
-    if bars is not None:
+    def flops(self) -> int:
         # Entries touched: two columns of x re-solved and two bars on the
         # window, two candidate arrays rebuilt, and four selection passes
         # over n (max and min of pbar, one argmax per candidate array).
-        return 2 * (bars.solved + (bars.window[1] - bars.window[0]) + bars.rebuilt) + 4 * n
-    # Two bar columns of k^2 + (n-k)k multiply-adds each (4nk flops), the
-    # factor's column solve and rank-one update (4k^2), O(n) vector work.
-    return 4 * n * k + 4 * k * k + 8 * n
+        lo, hi = self.window
+        return 2 * (self.solved + (hi - lo) + self.rebuilt) + 4 * self.labels.size
+
+
+class _DenseBars:
+    """The dense bar engine: :class:`_BandedBars`' five methods over a :class:`FactorState`.
+
+    The bars are recomputed from the factor at every ratio test;
+    :func:`apply_pivot` updates the factor, so :meth:`refresh` has nothing to do.
+    """
+
+    def __init__(self, instance: QpInstance, p: np.ndarray, state: ParamState):
+        self.instance, self.p, self.state = instance, p, state
+        self.factor = state.factor = FactorState.for_alpha(instance.m, state.partition.alpha)
+
+    def ratio_test(self, tau_eps: float):
+        st = self.state
+        st.qbar, st.pbar = compute_bars(self.instance, st.partition, self.p, self.factor,
+                                        mug=st.mug)
+        return ratio_test_tau(st, self.instance.u, tau_eps)
+
+    def border(self, i: int) -> tuple[np.ndarray, float]:
+        return self.factor.border(i)
+
+    def column(self, i: int, mhat: np.ndarray) -> np.ndarray:
+        return self.factor.embed(mhat)
+
+    def refresh(self, decision: PivotDecision) -> None:
+        pass
+
+    def flops(self) -> int:
+        # Two bar columns of k^2 + (n-k)k multiply-adds each (4nk flops), the
+        # factor's column solve and rank-one update (4k^2), O(n) vector work.
+        n, k = self.instance.n, self.factor.k
+        return 4 * n * k + 4 * k * k + 8 * n
 
 
 def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
@@ -517,28 +539,17 @@ def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
         raise PreconditionViolated(
             f"no tau0 > 0 with q + tau0*p >= 0: p[{i}] ~ 0 while q[{i}] = {q[i]:.6g} < 0")
 
-    banded = m.tridiagonal
-    factor = None if banded else FactorState.for_alpha(m, [])
     mug = np.zeros(n)
-    state = ParamState(partition=Partition.initial(n), tau_cur=np.inf,
-                       qbar=None, pbar=None, factor=factor, stats=stats, mug=mug)
+    state = ParamState(partition=Partition.initial(n), qbar=None, pbar=None, factor=None,
+                       stats=stats, mug=mug)
     labels = state.partition.labels
     cap = max_pivots if max_pivots is not None else max(3 * n, 4)
     tau_eps = None
-    bars = None
-    if banded:
-        # The bars object owns qbar and pbar and updates them in place.
-        bars = _BandedBars(instance, p, state.partition, mug)
-        state.qbar, state.pbar = bars.qbar, bars.pbar
+    engine = (_BandedBars if m.tridiagonal else _DenseBars)(instance, p, state)
 
     while True:
-        if banded:
-            tau_new, kind, i_bar = bars.ratio_test(tau_eps or 0.0)
-            it_flops = _iteration_flops(n, 0, bars)
-        else:
-            state.qbar, state.pbar = compute_bars(instance, state.partition, p, factor, mug=mug)
-            it_flops = _iteration_flops(n, factor.k)
-            tau_new, kind, i_bar = ratio_test_tau(state, u, tau_eps=tau_eps or 0.0)
+        tau_new, kind, i_bar = engine.ratio_test(tau_eps or 0.0)
+        it_flops = engine.flops()
         stats.flops += it_flops
         stats.max_iter_flops = max(stats.max_iter_flops, it_flops)
 
@@ -547,7 +558,6 @@ def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
         if kind == "optimal":
             x = solution_at_tau(state, instance, 0.0)
             x = np.minimum(np.maximum(x, 0.0), u)
-            state.tau_cur = 0.0
             if callback is not None:
                 callback(state, 0.0, None)
             return SolveOutcome(status=OPTIMAL, x=x, objective=instance.objective(x), stats=stats)
@@ -555,14 +565,11 @@ def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
         if kind == "to_upper":
             decision = PivotDecision(kind="to_upper", i_bar=i_bar, tau_new=tau_new)
         else:
-            if banded:
-                mhat, sigma = None, bars.schur_diag(i_bar)
-            else:
-                mhat, sigma = factor.border(i_bar)
+            mhat, sigma = engine.border(i_bar)
             if sigma > TOL_PIVOT * scale:
                 decision = PivotDecision(kind="from_lower", i_bar=i_bar, tau_new=tau_new, mhat=mhat)
             else:
-                mhat = bars.column_solve(i_bar) if banded else factor.embed(mhat)
+                mhat = engine.column(i_bar, mhat)
                 rho, sub_kind, j_bar = second_ratio_test(state, instance, i_bar, tau_new, mhat)
                 if sub_kind == "unbounded":
                     d = np.zeros(n)
@@ -584,20 +591,10 @@ def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
         # gamma is monotone, so M @ (u on gamma) updates one column at a time.
         for entered in {"to_upper": [decision.i_bar], "at_ub": [decision.i_bar],
                         "exchange_to_upper": [decision.j_bar]}.get(decision.kind, []):
-            if banded:
-                dcol, ecol = m.band()
-                mug[entered] += u[entered] * dcol[entered]
-                if entered > 0:
-                    mug[entered - 1] += u[entered] * ecol[entered - 1]
-                if entered < n - 1:
-                    mug[entered + 1] += u[entered] * ecol[entered]
-            else:
-                mug += u[entered] * m.full()[entered]  # a row: M is symmetric
+            m.add_column(mug, entered, u[entered])
         if stats.pivots > cap:
             raise IterationCap(f"pivot count exceeded {cap} (3n cap); degeneracy anomaly")
-        if banded:
-            moved = (decision.i_bar,) if decision.j_bar is None else (decision.i_bar, decision.j_bar)
-            bars.update(min(moved), max(moved))
+        engine.refresh(decision)
 
 
 def solve_pd(instance: QpInstance, p, **kwargs) -> SolveOutcome:

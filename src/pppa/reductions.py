@@ -28,7 +28,8 @@ from .matrices import (SymMatrix, as_sym, comparison_matrix,
 from .oracle import find_recession_direction
 from .pivoting import (OPTIMAL, UNBOUNDED, QpInstance, Ray, SolveOutcome,
                        Stats, solve_psd)
-from .tolerances import TOL_KKT, TOL_PIVOT, TOL_PSD
+from .tolerances import (TOL_FM, TOL_KERNEL_FLOOR, TOL_KKT, TOL_LIFT_RAY, TOL_PIVOT,
+                         TOL_PSD, TOL_ZERO_ROW)
 
 K_CAP = 3
 
@@ -66,7 +67,7 @@ class DropStep:
 
     def lift_ray(self, d: np.ndarray) -> np.ndarray:
         di = -float(self.row @ d) / self.m_ii
-        if -1e-9 * max(1.0, float(np.max(np.abs(d), initial=0.0))) < di < 0.0:
+        if -TOL_LIFT_RAY * max(1.0, float(np.max(np.abs(d), initial=0.0))) < di < 0.0:
             di = 0.0
         return np.insert(d, self.i, di)
 
@@ -88,7 +89,7 @@ class FlipStep:
         y[self.i] = -d[self.i]
         # A descent ray of the flipped problem cannot move the flipped
         # coordinate, so this entry vanishes up to roundoff.
-        if abs(y[self.i]) <= 1e-9 * max(1.0, float(np.max(np.abs(d), initial=0.0))):
+        if abs(y[self.i]) <= TOL_LIFT_RAY * max(1.0, float(np.max(np.abs(d), initial=0.0))):
             y[self.i] = 0.0
         return y
 
@@ -239,7 +240,7 @@ def preprocess_zero_diag(instance: QpInstance, scale: float | None = None):
             row = a_full[i].copy()
             row[i] = 0.0
             row_max = float(np.max(np.abs(row), initial=0.0))
-        if row_max > 1e-8 * scale:
+        if row_max > TOL_ZERO_ROW * scale:
             raise InvariantViolation(
                 f"diagonal entry {i} vanishes but its row does not; matrix is not comparison-psd")
     q_tol = TOL_KKT * (1.0 + float(np.max(np.abs(q), initial=0.0)))
@@ -418,7 +419,7 @@ def _fm_interval(coeffs: np.ndarray, rhs: np.ndarray, tol: float):
 
 
 def fm_feasibility_2var(eq_a, eq_b, ineq_a=None, ineq_b=None,
-                        lower=None, upper=None, tol: float = 1e-9):
+                        lower=None, upper=None, tol: float = TOL_FM):
     """Feasible point of a <=2-variable linear system, or None.
 
     Solves eq_a @ x = eq_b, ineq_a @ x <= ineq_b, lower <= x <= upper by
@@ -576,7 +577,7 @@ def _interior_by_kernel(instance: QpInstance, tol: float) -> np.ndarray | None:
     if float(np.max(np.abs(a @ x0 + q), initial=0.0)) > tol * scale:
         return None
     vals, vecs = np.linalg.eigh(a)
-    kernel = vecs[:, np.abs(vals) <= max(TOL_PSD * m.scale(), 1e-12)]
+    kernel = vecs[:, np.abs(vals) <= max(TOL_PSD * m.scale(), TOL_KERNEL_FLOOR)]
     r = kernel.shape[1]
     if r > 2:
         return None

@@ -42,6 +42,20 @@ TOL_RAY_ZERO = 1e-14
 # (absolute) are roundoff and set to zero, which keeps the ray feasible.
 TOL_RAY_NEGATIVE = 1e-10
 
+# Lifting a ray through a drop or flip step: a lifted component within this
+# (times max(1, ||d||_inf)) below zero, or of the flipped coordinate, is
+# roundoff and set to zero.
+TOL_LIFT_RAY = 1e-9
+
+# A zero-diagonal variable's off-diagonal row must vanish to this (times scale).
+TOL_ZERO_ROW = 1e-8
+
+# Absolute floor of the eigenvalue threshold that picks a kernel basis.
+TOL_KERNEL_FLOOR = 1e-12
+
+# Default slack of the two-variable Fourier-Motzkin feasibility check.
+TOL_FM = 1e-9
+
 _SCALE_FLOOR = 1e-30
 
 

@@ -1,0 +1,91 @@
+"""Invariance of the solution under reordering, scaling and bound flips.
+
+Each transform maps the problem to an equivalent one, so the status must
+match, the objective must map as the transform says, and the solution
+mapped back must pass the KKT check of the original problem.
+"""
+
+import numpy as np
+
+from pppa import (GenSpec, QpInstance, SymMatrix, flip_variable, gen_sbar_random, kkt_residual,
+                  recession_check, solve_psd, solve_sbar)
+from pppa.reductions import FlipStep
+
+from helpers import banded_family, objectives_match
+
+
+def _kkt_ok(inst, x):
+    return kkt_residual(inst, x) <= 1e-8 * (1 + np.max(np.abs(inst.q)))
+
+
+def test_reversal_and_scaling_on_banded_storage():
+    # Reversing the index order keeps M tridiagonal; scaling (M, q) by c > 0
+    # keeps x and scales the objective by c.  The family's p = 10 + |q| is
+    # not the class construction's p, and on a few singular matrices the
+    # path ends off the KKT set, so this compares the engine with itself.
+    rng = np.random.default_rng(17)
+    cases = 0
+    for d, e, q, u, p in banded_family():
+        inst = QpInstance(SymMatrix.from_banded(d, e), q, u)
+        base = solve_psd(inst, p)
+        for c in 10.0 ** rng.uniform(-2.0, 2.0, size=2):
+            flipped = QpInstance(SymMatrix.from_banded(c * d[::-1], c * e[::-1]),
+                                 c * q[::-1], u[::-1])
+            out = solve_psd(flipped, p[::-1])
+            assert flipped.m._dense is None
+            assert out.status == base.status
+            if out.status == "optimal":
+                assert abs(out.objective - c * base.objective) <= 1e-7 * max(
+                    1.0, abs(c * base.objective))
+            else:
+                assert recession_check(flipped, out.ray)
+                assert recession_check(inst, out.ray.direction[::-1])
+            cases += 1
+    assert cases == 800
+
+
+def test_permutation_through_solve_sbar():
+    n = 60
+    for seed in range(20):
+        inst = gen_sbar_random(GenSpec(family="sbar_random", n=n, rho=0.2, seed=seed))
+        perm = np.random.default_rng(seed).permutation(n)
+        permuted = QpInstance(SymMatrix.from_dense(inst.m.full()[np.ix_(perm, perm)]),
+                              inst.q[perm], inst.u[perm])
+        base, out = solve_sbar(inst), solve_sbar(permuted)
+        assert out.status == base.status == "optimal"
+        assert objectives_match(out.objective, base.objective)
+        x = np.empty(n)
+        x[perm] = out.x
+        assert _kkt_ok(inst, x)
+
+
+def _flip_cases():
+    # Banded instances with a finite bound, then dense sbar_random ones
+    # (every u is finite there).
+    rng = np.random.default_rng(23)
+    for d, e, q, u, _ in banded_family(count=150, seed=11):
+        finite = np.flatnonzero(np.isfinite(u))
+        if finite.size:
+            yield QpInstance(SymMatrix.from_banded(d, e), q, u), int(rng.choice(finite))
+    for seed in range(10):
+        inst = gen_sbar_random(GenSpec(family="sbar_random", n=30, rho=0.3, seed=seed))
+        yield inst, int(rng.integers(0, inst.n))
+
+
+def test_flip_variable_on_a_finite_bound():
+    # With z_i = u_i - x_i, f(x) = f~(z) + u_i q_i + u_i^2 m_ii / 2.
+    statuses = set()
+    for inst, i in _flip_cases():
+        u_i = float(inst.u[i])
+        m2, q2 = flip_variable(inst.m, inst.q, i, u_i)
+        base, out = solve_sbar(inst), solve_sbar(QpInstance(m2, q2, inst.u))
+        assert out.status == base.status
+        statuses.add(out.status)
+        if out.status == "optimal":
+            shift = u_i * inst.q[i] + 0.5 * u_i * u_i * inst.m.value(i, i)
+            assert objectives_match(out.objective + shift, base.objective)
+            x = FlipStep(i=i, u_i=u_i).lift_point(out.x)
+            assert _kkt_ok(inst, x)
+        else:
+            assert recession_check(inst, FlipStep(i=i, u_i=u_i).lift_ray(out.ray.direction))
+    assert statuses == {"optimal", "unbounded"}

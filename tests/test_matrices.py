@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pppa import (SymMatrix, comparison_matrix, irreducible_components, is_pd,
-                  is_psd, principal_pivot_transform, schur_complement,
-                  tridiag_solve)
+                  is_psd, schur_complement, tridiag_solve)
 from pppa.errors import SingularBlock, SingularPivot
 from pppa.matrices import (_pivoted_cholesky, _pivoted_cholesky_pivots, definiteness,
                            tridiag_run_solve)
@@ -123,40 +122,6 @@ def _det_by_cholesky(a):
     if a.size == 0:
         return 1.0
     return float(np.prod(np.diagonal(np.linalg.cholesky(a)) ** 2))
-
-
-class TestPrincipalPivotTransform:
-    def test_single_pivot(self):
-        # Dense-solve oracle for -Maa^{-1} r_a and companion blocks.
-        res = principal_pivot_transform([[2, 1], [1, 2]], [-3, -3], [0])
-        assert res.transformed_vector == pytest.approx([1.5, -1.5])
-        assert res.transformed_matrix == pytest.approx(np.array([[0.5, -0.5], [0.5, 1.5]]))
-
-    def test_empty_alpha_unchanged(self):
-        m = np.array([[3.0, 1], [1, 2]])
-        res = principal_pivot_transform(m, [5.0, 6.0], [])
-        assert np.array_equal(res.transformed_vector, [5.0, 6.0])
-        assert np.array_equal(res.transformed_matrix, m)
-
-    def test_identity_pivot(self):
-        r = np.array([2.0, -4.0, 1.0])
-        res = principal_pivot_transform(np.eye(3), r, [0])
-        assert res.transformed_vector == pytest.approx([-2.0, -4.0, 1.0])
-        expected = np.eye(3)
-        expected[0, 0] = 1.0
-        assert res.transformed_matrix == pytest.approx(expected)
-
-    def test_complement_block_is_schur(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            n = int(rng.integers(2, 7))
-            m = random_pd(rng, n)
-            k = int(rng.integers(1, n))
-            alpha = sorted(rng.choice(n, size=k, replace=False))
-            rest = [i for i in range(n) if i not in alpha]
-            res = principal_pivot_transform(m, rng.uniform(-1, 1, n), alpha)
-            s = schur_complement(m, alpha)
-            assert res.transformed_matrix[np.ix_(rest, rest)] == pytest.approx(s.full())
 
 
 class TestIsPsd:

@@ -145,7 +145,7 @@ def test_apply_pivot_keeps_a_partition(case):
     part, decision = case
     n = part.labels.size
     before = part.labels.copy()
-    state = ParamState(partition=part, tau_cur=np.inf, qbar=np.zeros(n), pbar=np.zeros(n),
+    state = ParamState(partition=part, qbar=np.zeros(n), pbar=np.zeros(n),
                        factor=None, stats=Stats())
     new = apply_pivot(state, decision).partition
     sets = [new.alpha, new.beta, new.gamma]
@@ -217,7 +217,7 @@ def _bars(draw):
 @given(_bars(), st.sampled_from([0.0, 0.5]))
 def test_ratio_test_matches_loop_reference(bars, tau_eps):
     labels, qbar, pbar, u, _ = bars
-    state = ParamState(partition=Partition(labels=labels), tau_cur=np.inf, qbar=qbar,
+    state = ParamState(partition=Partition(labels=labels), qbar=qbar,
                        pbar=pbar, factor=None, stats=Stats())
     assert ratio_test_tau(state, u, tau_eps) == _reference_ratio_test(labels, qbar, pbar, u,
                                                                       tau_eps)
@@ -230,7 +230,7 @@ def test_second_ratio_test_matches_loop_reference(bars, tau, data):
     i_bar = data.draw(st.integers(0, labels.size - 1))
     labels[i_bar] = 0
     mhat[i_bar] = 0.0
-    state = ParamState(partition=Partition(labels=labels), tau_cur=np.inf, qbar=qbar,
+    state = ParamState(partition=Partition(labels=labels), qbar=qbar,
                        pbar=pbar, factor=None, stats=Stats())
     inst = QpInstance(SymMatrix.from_dense(np.eye(labels.size)), qbar, u)
     assert second_ratio_test(state, inst, i_bar, tau, mhat) == \

@@ -7,17 +7,17 @@ from pppa import (FactorState, GenSpec, ParamState, Partition, PivotDecision,
                   ratio_test_tau, recession_check, reductions, second_ratio_test,
                   solution_at_tau, solve_pd, solve_psd, solve_sbar)
 from pppa.errors import PreconditionViolated
-from pppa.pivoting import ALPHA, _BandedBars, _iteration_flops
+from pppa.pivoting import ALPHA, _BandedBars, _DenseBars
 
 from helpers import (banded_family, dense_of_band, make_instance, objectives_match, random_pd,
                      random_sbar)
 
 
-def _state(partition, qbar, pbar, tau=np.inf, factor=None):
-    return ParamState(partition=partition, tau_cur=tau,
+def _state(partition, qbar, pbar, factor=None, mug=None):
+    return ParamState(partition=partition,
                       qbar=np.asarray(qbar, dtype=float),
                       pbar=np.asarray(pbar, dtype=float),
-                      factor=factor, stats=Stats())
+                      factor=factor, stats=Stats(), mug=mug)
 
 
 class TestComputeBars:
@@ -411,10 +411,14 @@ class TestDenseFactorAlongTheSolve:
 
 def test_dense_iteration_flops_count_the_alpha_kernels():
     n, k = 600, 300
+    inst = make_instance(np.eye(n), np.zeros(n), np.full(n, np.inf))
+    part = Partition(alpha=range(k), beta=range(k, n), gamma=())
+    engine = _DenseBars(inst, np.ones(n), _state(part, np.zeros(n), np.zeros(n), mug=np.zeros(n)))
+    assert engine.factor.k == k
     # 2 columns x 2 flops x (k^2 + (n-k)k) for the bars, 2k^2 each for the
     # factor's column solve and rank-one update, 8n for the vector work;
     # a full n x n product per column would charge 4n^2 = 1_440_000 alone.
-    assert _iteration_flops(n, k) == 720_000 + 360_000 + 4_800
+    assert engine.flops() == 720_000 + 360_000 + 4_800
 
 
 class TestBandedAgainstDense:
@@ -483,6 +487,34 @@ class TestBandedBarsInvariant:
         assert len(seen) == 4450
 
 
+class TestEngineContract:
+    """Both bar engines give the same Schur diagonal and column at every callback."""
+
+    def test_family(self):
+        checked = 0
+        for d, e, q, u, p in banded_family():
+            banded = QpInstance(SymMatrix.from_banded(d, e), q, u)
+            dense = QpInstance(SymMatrix.from_dense(dense_of_band(d, e)), q, u)
+            scale = banded.m.scale()
+
+            def watch(state, tau_new, decision, banded=banded, dense=dense, p=p, scale=scale):
+                nonlocal checked
+                def at():
+                    return _state(Partition(labels=state.partition.labels.copy()), [], [],
+                                  mug=state.mug.copy())
+
+                engine_b, engine_d = _BandedBars(banded, p, at()), _DenseBars(dense, p, at())
+                for i in state.partition.beta:
+                    (mhat_b, sigma_b), (mhat_d, sigma_d) = engine_b.border(i), engine_d.border(i)
+                    assert abs(sigma_b - sigma_d) <= 1e-10 * max(abs(sigma_d), scale)
+                    col_b, col_d = engine_b.column(i, mhat_b), engine_d.column(i, mhat_d)
+                    assert np.max(np.abs(col_b - col_d)) <= 1e-10 * max(np.max(np.abs(col_d)), 1.0)
+                    checked += 1
+
+            solve_psd(banded, p, callback=watch)
+        assert checked > 10_000
+
+
 def test_banded_iteration_flops_count_one_window():
     # alpha = {9, 10}; 11 enters: the window 10..12 widens to 9..12 (the
     # run 9..11 and index 12), the bars cover 8..13 and, the largest |pbar|
@@ -496,16 +528,16 @@ def test_banded_iteration_flops_count_one_window():
     inst = QpInstance(SymMatrix.from_banded(d, e), q, np.full(n, np.inf))
     part = Partition(alpha=[9, 10], beta=[k for k in range(n) if k not in (9, 10)], gamma=[])
     mug = np.zeros(n)
-    bars = _BandedBars(inst, p, part, mug)
+    bars = _BandedBars(inst, p, _state(part, [], [], mug=mug))
     bars.ratio_test(0.0)
     part.labels[11] = ALPHA
-    bars.update(11, 11)
+    bars.refresh(PivotDecision(kind="from_lower", i_bar=11))
     bars.ratio_test(0.0)
     assert (bars.solved, bars.window, bars.rebuilt) == (4, (8, 14), 6)
-    assert _iteration_flops(n, 3, bars) == 2 * (4 + 6 + 6) + 4 * n
+    assert bars.flops() == 2 * (4 + 6 + 6) + 4 * n
     qbar, pbar = compute_bars(inst, part, p, None, mug=mug)
     assert bars.qbar.tobytes() == qbar.tobytes() and bars.pbar.tobytes() == pbar.tobytes()
-    fresh = _BandedBars(inst, p, part, mug)
+    fresh = _BandedBars(inst, p, _state(part, [], [], mug=mug))
     fresh.ratio_test(0.0)
     assert bars.cand_b.tobytes() == fresh.cand_b.tobytes()
     assert bars.cand_a.tobytes() == fresh.cand_a.tobytes()
