@@ -17,15 +17,15 @@ from .generate import (GENERATOR_ID, GenSpec, gen_sbar_nk, gen_sbar_random,
 from .matrices import (SymMatrix, as_sym, comparison_matrix,
                        irreducible_components, is_pd, is_psd, quadratic_objective,
                        schur_complement, tridiag_solve)
-from .oracle import (KktPoint, enumerate_active_sets, find_recession_direction,
-                     kkt_residual, recession_check)
+from .oracle import (enumerate_active_sets, find_recession_direction, kkt_residual,
+                     recession_check)
 from .pivoting import (ERROR, OPTIMAL, UNBOUNDED, ParamState, Partition,
                        PivotDecision, QpInstance, Ray, SolveOutcome, Stats,
                        apply_pivot, compute_bars, ratio_test_tau,
                        second_ratio_test, solution_at_tau, solve_pd, solve_psd)
 from .qpb import load_qpb, parse_qpb, save_qpb, write_qpb
 from .reductions import (DropStep, FixStep, FlipStep, ReductionTrace,
-                         SplitStep, flip_variable, fm_feasibility_2var,
+                         flip_variable, fm_feasibility_2var,
                          interior_solution, preprocess_zero_diag,
                          reduce_nonpositive_row, solve_sbar, solve_sbar_n1,
                          solve_sbar_nk)

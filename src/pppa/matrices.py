@@ -40,23 +40,13 @@ class SymMatrix:
     _sub: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
-    def from_dense(cls, a, tridiagonal: bool = False) -> "SymMatrix":
+    def from_dense(cls, a) -> "SymMatrix":
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         n = a.shape[0]
         lower = np.tril(a)
         full = lower + np.tril(a, -1).T
-        if tridiagonal:
-            if n > 2 and np.any(np.tril(full, -2) != 0.0):
-                raise ValueError("matrix tagged tridiagonal has entries below the first sub-diagonal")
-            return cls(
-                n=n,
-                tridiagonal=True,
-                _dense=full,
-                _diag=np.diagonal(full).copy(),
-                _sub=np.diagonal(full, -1).copy() if n > 1 else np.zeros(0),
-            )
         return cls(n=n, _dense=full)
 
     @classmethod
@@ -147,15 +137,6 @@ class SymMatrix:
             return SymMatrix.from_banded(d, e)
         a = self.full()[np.ix_(keep, keep)]
         return SymMatrix(n=keep.size, _dense=a)
-
-    def copy(self) -> "SymMatrix":
-        return SymMatrix(
-            n=self.n,
-            tridiagonal=self.tridiagonal,
-            _dense=None if self._dense is None else self._dense.copy(),
-            _diag=None if self._diag is None else self._diag.copy(),
-            _sub=None if self._sub is None else self._sub.copy(),
-        )
 
 
 def as_sym(m) -> SymMatrix:

@@ -9,7 +9,6 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -21,27 +20,6 @@ from .pivoting import ERROR, OPTIMAL, UNBOUNDED, QpInstance, Ray, SolveOutcome, 
 from .tolerances import TOL_KERNEL_FLOOR, TOL_KKT, TOL_PSD
 
 ORACLE_MAX_N = 10
-
-
-@dataclass
-class KktPoint:
-    """Primal point with its multiplier decomposition.
-
-    w = q + Mx + lambda is the lower-bound multiplier; lambda covers the
-    finite upper bounds; s = u - x are the upper slacks (inf elsewhere).
-    """
-
-    x: np.ndarray
-    w: np.ndarray
-    lam: np.ndarray
-    s: np.ndarray
-
-
-def kkt_point(instance: QpInstance, x: np.ndarray) -> KktPoint:
-    g = instance.q + instance.m.matvec(x)
-    finite = np.isfinite(instance.u)
-    lam = np.where(finite, np.maximum(-g, 0.0), 0.0)
-    return KktPoint(x=x, w=g + lam, lam=lam, s=instance.u - x)
 
 
 def kkt_residual(instance: QpInstance, x: np.ndarray) -> float:

@@ -170,7 +170,7 @@ class ParamState:
 
 @dataclass
 class PivotDecision:
-    """Outcome of the ratio tests; consumed by apply_pivot.
+    """Outcome of the ratio tests; consumed by apply_pivot and the engine's refresh.
 
     kind: 'to_upper'            alpha -> gamma            (case 1)
           'from_lower'          beta -> alpha             (case 2a)
@@ -317,26 +317,18 @@ def _factor_step(factor: FactorState, idx: int, direction: str, mhat, stats: Sta
 
 
 def apply_pivot(state: ParamState, decision: PivotDecision) -> ParamState:
-    """Relabel i_bar (and j_bar) and update the factored block for one pivot.
+    """Relabel i_bar (and j_bar) for one pivot, in O(1).
 
-    ``state`` is updated in place and returned.  The labels cost O(1);
-    j_bar leaves alpha before i_bar enters it.
+    ``state`` is updated in place and returned; the bar engine's
+    ``refresh`` then updates whatever it factored.
     """
     if decision.kind not in _MOVES:
         raise ValueError(f"unknown pivot kind {decision.kind!r}")
     to_i, to_j = _MOVES[decision.kind]
-    labels, stats, factor = state.partition.labels, state.stats, state.factor
-    moves = [(decision.i_bar, to_i)]
+    labels, stats = state.partition.labels, state.stats
+    labels[decision.i_bar] = to_i
     if to_j is not None:
-        moves.insert(0, (decision.j_bar, to_j))
-    for idx, label in moves:
-        if factor is not None and labels[idx] == ALPHA:
-            _factor_step(factor, idx, "remove", None, stats)
-        elif factor is not None and label == ALPHA:
-            # mhat was formed against the alpha before this pivot; an exchange changed it.
-            mhat = decision.mhat if to_j is None else None
-            _factor_step(factor, idx, "add", mhat, stats)
-        labels[idx] = label
+        labels[decision.j_bar] = to_j
     if decision.kind not in ("to_upper", "from_lower"):
         stats.two_by_two += 1
     stats.pivots += 1
@@ -477,8 +469,8 @@ class _BandedBars:
 class _DenseBars:
     """The dense bar engine: :class:`_BandedBars`' five methods over a :class:`FactorState`.
 
-    The bars are recomputed from the factor at every ratio test;
-    :func:`apply_pivot` updates the factor, so :meth:`refresh` has nothing to do.
+    The bars are recomputed from the factor at every ratio test, and
+    :meth:`refresh` moves the pivoted indices in and out of the factor.
     """
 
     def __init__(self, instance: QpInstance, p: np.ndarray, state: ParamState):
@@ -498,7 +490,15 @@ class _DenseBars:
         return self.factor.embed(mhat)
 
     def refresh(self, decision: PivotDecision) -> None:
-        pass
+        # j_bar leaves alpha before i_bar enters it.  Only a 'from_lower'
+        # pivot carries mhat: an exchange changes the alpha it was formed against.
+        factor, stats = self.factor, self.state.stats
+        if decision.kind == "to_upper":
+            _factor_step(factor, decision.i_bar, "remove", None, stats)
+        if decision.j_bar is not None:
+            _factor_step(factor, decision.j_bar, "remove", None, stats)
+        if self.state.partition.labels[decision.i_bar] == ALPHA:
+            _factor_step(factor, decision.i_bar, "add", decision.mhat, stats)
 
     def flops(self) -> int:
         # Two bar columns of k^2 + (n-k)k multiply-adds each (4nk flops), the

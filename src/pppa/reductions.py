@@ -7,14 +7,16 @@ linear term) until the pivoting engine applies.  Every transformation
 is logged as a trace step so solutions and recession rays of the
 reduced problem lift back to the original coordinates.
 
-The k-level drivers fix one variable at each bound, solve the reduced
-problems recursively, test the bound certificates, and finish with a
-two-variable linear feasibility check for the interior case.
+The level-k driver solves each irreducible block on its own: a
+comparison-psd block goes to the pivoting driver, any other block fixes
+one variable at each bound, solves the reduced problems one level down,
+tests the bound certificates, and finishes with a two-variable linear
+feasibility check for the interior case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -95,27 +97,6 @@ class FlipStep:
 
 
 @dataclass
-class SplitStep:
-    """The problem decomposed into independent blocks, solved in order."""
-
-    blocks: list[np.ndarray]
-
-    def _scatter(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty(sum(len(b) for b in self.blocks))
-        pos = 0
-        for blk in self.blocks:
-            out[blk] = x[pos:pos + len(blk)]
-            pos += len(blk)
-        return out
-
-    def lift_point(self, x: np.ndarray) -> np.ndarray:
-        return self._scatter(x)
-
-    def lift_ray(self, d: np.ndarray) -> np.ndarray:
-        return self._scatter(d)
-
-
-@dataclass
 class ReductionTrace:
     """Ordered log of reductions; replaying in reverse lifts solutions."""
 
@@ -133,11 +114,20 @@ class ReductionTrace:
         return d
 
 
-def _lift_outcome(trace: ReductionTrace, out: SolveOutcome) -> SolveOutcome:
+def _lift_outcome(step, out: SolveOutcome) -> SolveOutcome:
+    """Map a reduced problem's answer back through ``step`` (a trace step or a whole trace)."""
     if out.status == OPTIMAL:
-        out.x = trace.lift_point(out.x)
+        out.x = step.lift_point(out.x)
     elif out.status == UNBOUNDED and out.ray is not None:
-        out.ray = Ray(direction=trace.lift_ray(out.ray.direction))
+        out.ray = Ray(direction=step.lift_ray(out.ray.direction))
+    return out
+
+
+def _finish(instance: QpInstance, out: SolveOutcome) -> SolveOutcome:
+    """The drivers' one exit: clamp an optimal x into the box and price it."""
+    if out.status == OPTIMAL:
+        out.x = np.minimum(np.maximum(out.x, 0.0), instance.u)
+        out.objective = instance.objective(out.x)
     return out
 
 
@@ -263,7 +253,7 @@ def preprocess_zero_diag(instance: QpInstance, scale: float | None = None):
     return reduced, steps, None
 
 
-def reduce_nonpositive_row(instance: QpInstance, d: np.ndarray, p: np.ndarray, i: int,
+def reduce_nonpositive_row(instance: QpInstance, p: np.ndarray, i: int,
                            scale: float | None = None):
     """One blocked-start reduction at index i (p_i ~ 0, q_i < 0, m_ii > 0).
 
@@ -305,6 +295,28 @@ def _restrict(instance: QpInstance, idx: np.ndarray) -> QpInstance:
     return QpInstance(instance.m.submatrix(idx), instance.q[idx], instance.u[idx])
 
 
+def _solve_blocks(instance: QpInstance, blocks: list[np.ndarray], solve) -> SolveOutcome:
+    """Solve each irreducible block in order and scatter the answers back.
+
+    The first unbounded block ends the solve; its ray is zero elsewhere.
+    """
+    if len(blocks) == 1:
+        return solve(instance)
+    stats = Stats()
+    x = np.empty(instance.n)
+    for blk in blocks:
+        out = solve(_restrict(instance, blk))
+        stats.merge(out.stats)
+        if out.status == UNBOUNDED:
+            ray = None
+            if out.ray is not None:
+                ray = Ray(direction=np.zeros(instance.n))
+                ray.direction[blk] = out.ray.direction
+            return SolveOutcome(status=UNBOUNDED, ray=ray, stats=stats, reason=out.reason)
+        x[blk] = out.x
+    return SolveOutcome(status=OPTIMAL, x=x, stats=stats)
+
+
 def _resolve_sbar(instance: QpInstance, anchor: float) -> SolveOutcome:
     # All zero/singularity thresholds anchor at the scale of the matrix
     # the driver was entered with: entries that shrink to roundoff along
@@ -328,24 +340,9 @@ def _resolve_sbar(instance: QpInstance, anchor: float) -> SolveOutcome:
 
         blocks = irreducible_components(work.m)
         if len(blocks) > 1:
-            parts = []
-            ray_out = None
-            for blk in blocks:
-                sub_out = _resolve_sbar(_restrict(work, blk), anchor)
-                stats.merge(sub_out.stats)
-                if sub_out.status == UNBOUNDED:
-                    ray_out = np.zeros(work.n)
-                    if sub_out.ray is not None:
-                        offset = sum(len(b) for b in blocks[:len(parts)])
-                        ray_out[offset:offset + len(blk)] = sub_out.ray.direction
-                    break
-                parts.append(sub_out.x)
-            trace.steps.append(SplitStep(blocks=list(blocks)))
-            if ray_out is not None:
-                out = SolveOutcome(status=UNBOUNDED, ray=Ray(direction=ray_out), stats=stats)
-            else:
-                out = SolveOutcome(status=OPTIMAL, x=np.concatenate(parts) if parts else np.zeros(0),
-                                   stats=stats)
+            out = _solve_blocks(work, blocks, lambda blk: _resolve_sbar(blk, anchor))
+            stats.merge(out.stats)
+            out.stats = stats
             return _lift_outcome(trace, out)
 
         if cached_d is None:
@@ -362,7 +359,7 @@ def _resolve_sbar(instance: QpInstance, anchor: float) -> SolveOutcome:
             return _lift_outcome(trace, out)
         droppable = [int(i) for i in blocked if not np.isfinite(work.u[i])]
         i = droppable[0] if droppable else int(blocked[0])
-        work, step = reduce_nonpositive_row(work, cached_d, p, i, scale=anchor)
+        work, step = reduce_nonpositive_row(work, p, i, scale=anchor)
         trace.steps.append(step)
         stats.reductions += 1
         if isinstance(step, DropStep):
@@ -380,13 +377,9 @@ def solve_sbar(instance: QpInstance, *, check: bool = True) -> SolveOutcome:
     if check and not is_in_sbar_plus(instance.m):
         raise ClassificationFailed("comparison matrix is not positive semidefinite")
     try:
-        out = _resolve_sbar(instance, instance.m.scale())
+        return _finish(instance, _resolve_sbar(instance, instance.m.scale()))
     except NotApplicable as exc:
         raise ClassificationFailed(str(exc)) from exc
-    if out.status == OPTIMAL:
-        out.x = np.minimum(np.maximum(out.x, 0.0), instance.u)
-        out.objective = instance.objective(out.x)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -612,23 +605,12 @@ def interior_solution(instance: QpInstance, tol: float | None = None) -> np.ndar
 # Fixed-variable drivers for the k-weakly dominant classes.
 
 
-def _insert_solution(out: SolveOutcome, i: int, value: float, stats: Stats) -> SolveOutcome:
-    x = np.insert(out.x, i, value)
-    return SolveOutcome(status=OPTIMAL, x=x, stats=stats)
-
-
-def _lift_sub_ray(out: SolveOutcome, i: int, stats: Stats) -> SolveOutcome:
-    ray = None
-    if out.ray is not None:
-        ray = Ray(direction=np.insert(out.ray.direction, i, 0.0))
-    return SolveOutcome(status=UNBOUNDED, ray=ray, stats=stats)
-
-
-def _fixing_driver(instance: QpInstance, subsolve, stats: Stats) -> SolveOutcome:
+def _fixing_driver(instance: QpInstance, subsolve) -> SolveOutcome:
     """Fix each variable at each bound, test the optimality certificates,
     then fall back to the interior stationarity check."""
     m, q, u = instance.m, instance.q, instance.u
     n = m.n
+    stats = Stats()
     if n == 0:
         return SolveOutcome(status=OPTIMAL, x=np.zeros(0), stats=stats)
     a = m.full()
@@ -637,25 +619,19 @@ def _fixing_driver(instance: QpInstance, subsolve, stats: Stats) -> SolveOutcome
         keep = np.concatenate([np.arange(i), np.arange(i + 1, n)])
         row = a[i, keep]
         sub_m = m.submatrix(keep)
-        lb = QpInstance(sub_m, q[keep], u[keep])
-        out = subsolve(lb)
+        out = subsolve(QpInstance(sub_m, q[keep], u[keep]))
         stats.subproblems += 1
         stats.merge(out.stats)
-        if out.status == UNBOUNDED:
-            return _lift_sub_ray(out, i, stats)
-        if q[i] + float(row @ out.x) >= -tol_cert:
-            return _insert_solution(out, i, 0.0, stats)
+        if out.status == UNBOUNDED or q[i] + float(row @ out.x) >= -tol_cert:
+            return _lift_outcome(FixStep(i, 0.0), replace(out, stats=stats))
         if np.isfinite(u[i]):
-            ub = QpInstance(sub_m, q[keep] + u[i] * row, u[keep])
-            out = subsolve(ub)
+            out = subsolve(QpInstance(sub_m, q[keep] + u[i] * row, u[keep]))
             stats.subproblems += 1
             stats.merge(out.stats)
-            if out.status == UNBOUNDED:
-                return _lift_sub_ray(out, i, stats)
             # Upper-bound certificate is the KKT sign condition at x_i = u_i,
             # which includes the m_ii u_i term of the gradient.
-            if q[i] + a[i, i] * u[i] + float(row @ out.x) <= tol_cert:
-                return _insert_solution(out, i, float(u[i]), stats)
+            if out.status == UNBOUNDED or q[i] + a[i, i] * u[i] + float(row @ out.x) <= tol_cert:
+                return _lift_outcome(FixStep(i, float(u[i])), replace(out, stats=stats))
     stats.subproblems += 1
     x = interior_solution(instance)
     if x is not None:
@@ -667,67 +643,28 @@ def _fixing_driver(instance: QpInstance, subsolve, stats: Stats) -> SolveOutcome
 
 
 def solve_sbar_n1(instance: QpInstance, *, check: bool = False) -> SolveOutcome:
-    """Driver for matrices one level beyond comparison-psd.
-
-    Every principal submatrix of order n-1 is comparison-psd, so each
-    bound-fixed subproblem is solved by the pivoting driver directly.
-    """
-    if check and not is_sbar_nk(instance.m, 1):
-        raise ClassificationFailed("matrix is not in the k=1 weakly dominant class")
-    stats = Stats()
-    blocks = irreducible_components(instance.m)
-    if len(blocks) > 1:
-        # At most one block can sit outside the comparison-psd class.
-        x = np.empty(instance.n)
-        for blk in blocks:
-            sub = _restrict(instance, blk)
-            if is_in_sbar_plus(sub.m):
-                out = solve_sbar(sub, check=False)
-            else:
-                out = _fixing_driver(sub, lambda s: solve_sbar(s, check=False), Stats())
-            stats.merge(out.stats)
-            if out.status == UNBOUNDED:
-                ray = None
-                if out.ray is not None:
-                    d = np.zeros(instance.n)
-                    d[blk] = out.ray.direction
-                    ray = Ray(direction=d)
-                return SolveOutcome(status=UNBOUNDED, ray=ray, stats=stats)
-            x[blk] = out.x
-        out = SolveOutcome(status=OPTIMAL, x=x, stats=stats)
-    else:
-        out = _fixing_driver(instance, lambda s: solve_sbar(s, check=False), stats)
-    if out.status == OPTIMAL:
-        out.x = np.minimum(np.maximum(out.x, 0.0), instance.u)
-        out.objective = instance.objective(out.x)
-    return out
+    """Driver for matrices one level beyond comparison-psd: :func:`solve_sbar_nk` at k=1."""
+    return solve_sbar_nk(instance, 1, check=check)
 
 
-def solve_sbar_nk(instance: QpInstance, k: int, *, k_cap: int = K_CAP,
-                  check: bool = False) -> SolveOutcome:
+def solve_sbar_nk(instance: QpInstance, k: int, *, check: bool = False) -> SolveOutcome:
     """Recursive driver for the k-weakly quasi-diagonally dominant class.
 
-    Each bound-fixed subproblem drops one class level; recursion
-    bottoms out at the k=1 driver.  Subproblems that already are
-    comparison-psd short-circuit to the pivoting driver.
+    Every irreducible block is at level k or below.  A comparison-psd
+    block goes to the pivoting driver; any other block fixes one
+    variable at each bound and solves those subproblems one level down,
+    where k=0 is :func:`solve_sbar`.
     """
-    if k > k_cap:
-        raise RecursionCapExceeded(f"k={k} exceeds the recursion cap {k_cap}")
+    if k > K_CAP:
+        raise RecursionCapExceeded(f"k={k} exceeds the recursion cap {K_CAP}")
     if k <= 0:
         return solve_sbar(instance, check=check)
     if check and not is_sbar_nk(instance.m, k):
         raise ClassificationFailed(f"matrix is not in the k={k} weakly dominant class")
-    if k == 1:
-        return solve_sbar_n1(instance)
-    stats = Stats()
 
-    def subsolve(sub: QpInstance) -> SolveOutcome:
-        if is_in_sbar_plus(sub.m):
-            return solve_sbar(sub, check=False)
-        return solve_sbar_nk(sub, k - 1, k_cap=k_cap)
+    def solve_block(block: QpInstance) -> SolveOutcome:
+        if is_in_sbar_plus(block.m):
+            return solve_sbar(block, check=False)
+        return _fixing_driver(block, lambda sub: solve_sbar_nk(sub, k - 1))
 
-    out = _fixing_driver(instance, subsolve, stats)
-    if out.status == OPTIMAL:
-        out.x = np.minimum(np.maximum(out.x, 0.0), instance.u)
-        out.objective = instance.objective(out.x)
-    return out
+    return _finish(instance, _solve_blocks(instance, irreducible_components(instance.m), solve_block))

@@ -170,7 +170,7 @@ def test_criterion_6_reduction_soundness():
         d = find_dominance_vector(comparison_matrix(m))
         p = build_parametric_vector(m, d)
         assert p[planted[0]] <= 1e-12 * m.scale()
-        reduced, _ = reduce_nonpositive_row(inst, d, p, planted[0])
+        reduced, _ = reduce_nonpositive_row(inst, p, planted[0])
         assert is_in_sbar_plus(reduced.m)
 
         out = solve_sbar(inst)

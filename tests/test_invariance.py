@@ -1,4 +1,5 @@
-"""Invariance of the solution under reordering, scaling and bound flips.
+"""Invariance of the solution under reordering, scaling, bound flips and
+block-diagonal composition.
 
 Each transform maps the problem to an equivalent one, so the status must
 match, the objective must map as the transform says, and the solution
@@ -6,9 +7,11 @@ mapped back must pass the KKT check of the original problem.
 """
 
 import numpy as np
+import pytest
 
-from pppa import (GenSpec, QpInstance, SymMatrix, flip_variable, gen_sbar_random, kkt_residual,
-                  recession_check, solve_psd, solve_sbar)
+from pppa import (GenSpec, QpInstance, SymMatrix, flip_variable, gen_sbar_nk, gen_sbar_random,
+                  irreducible_components, kkt_residual, recession_check, solve_psd, solve_sbar,
+                  solve_sbar_n1, solve_sbar_nk)
 from pppa.reductions import FlipStep
 
 from helpers import banded_family, objectives_match
@@ -89,3 +92,36 @@ def test_flip_variable_on_a_finite_bound():
         else:
             assert recession_check(inst, FlipStep(i=i, u_i=u_i).lift_ray(out.ray.direction))
     assert statuses == {"optimal", "unbounded"}
+
+
+def _block_diag(a, b):
+    m = np.zeros((a.n + b.n, a.n + b.n))
+    m[:a.n, :a.n] = a.m.full()
+    m[a.n:, a.n:] = b.m.full()
+    return QpInstance(SymMatrix.from_dense(m), np.concatenate([a.q, b.q]),
+                      np.concatenate([a.u, b.u]))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_block_diagonal_composition(k):
+    # The level-k driver solves each irreducible block on its own, so
+    # diag(A, B) gives the two separate answers side by side.
+    for seed in range(6):
+        a = gen_sbar_nk(GenSpec(family="sbar_nk", n=5, rho=0.6, seed=seed, k=1))
+        b = gen_sbar_random(GenSpec(family="sbar_random", n=4, rho=0.6, seed=seed))
+        out = solve_sbar_nk(_block_diag(a, b), k)
+        parts = [solve_sbar_nk(a, k), solve_sbar_nk(b, k)]
+        assert out.status == "optimal"
+        assert out.x.tobytes() == np.concatenate([part.x for part in parts]).tobytes()
+        assert out.stats.pivots == sum(part.stats.pivots for part in parts)
+
+
+@pytest.mark.parametrize("solve", [solve_sbar_n1, lambda inst: solve_sbar_nk(inst, 2)],
+                         ids=["sbar_n1", "sbar_nk2"])
+def test_comparison_psd_input_goes_straight_to_pivoting(solve):
+    for seed in range(5):
+        inst = gen_sbar_random(GenSpec(family="sbar_random", n=12, rho=0.5, seed=seed))
+        assert len(irreducible_components(inst.m)) == 1
+        out, ref = solve(inst), solve_sbar(inst, check=False)
+        assert out.stats.subproblems == 0
+        assert out.x.tobytes() == ref.x.tobytes()

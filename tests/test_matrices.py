@@ -385,7 +385,3 @@ class TestSymMatrix:
         assert m.matvec(x) == pytest.approx(m.full() @ x)
         block = rng.uniform(-1, 1, size=(11, 3))
         assert m.matvec(block) == pytest.approx(m.full() @ block)
-
-    def test_tridiagonal_tag_rejects_wide_band(self):
-        with pytest.raises(ValueError):
-            SymMatrix.from_dense(np.ones((3, 3)), tridiagonal=True)

@@ -4,7 +4,6 @@ import pytest
 from pppa import (QpInstance, Ray, enumerate_active_sets, kkt_residual,
                   recession_check, solve_sbar)
 from pppa.errors import TooLarge
-from pppa.oracle import kkt_point
 
 from helpers import make_instance, objectives_match, random_sbar
 
@@ -64,17 +63,6 @@ class TestKktResidual:
         assert kkt_residual(inst, np.array([-0.5, 0.0])) >= 0.5   # below lower bound
         assert kkt_residual(inst, np.array([0.5, 0.0])) >= 0.5    # x1 free, w1 > 0
         assert kkt_residual(inst, np.array([0.0, 0.5])) >= 0.25   # w2 < 0 interior
-
-
-class TestKktPoint:
-    def test_multiplier_decomposition(self):
-        inst = make_instance(np.eye(2), [1.0, -2.0], [3.0, 1.0])
-        pt = kkt_point(inst, np.array([0.0, 1.0]))
-        assert pt.w == pytest.approx([1.0, 0.0])
-        assert pt.lam == pytest.approx([0.0, 1.0])
-        assert pt.s == pytest.approx([3.0, 0.0])
-        assert np.all(np.abs(pt.x * pt.w) <= 1e-12)
-        assert np.all(np.abs(pt.lam * pt.s) <= 1e-12)
 
 
 class TestRecessionCheck:

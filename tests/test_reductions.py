@@ -50,7 +50,7 @@ class TestReduceNonpositiveRow:
         inst = make_instance([[1, -1], [-1, 1]], [-1.0, 0.0], [np.inf, np.inf])
         d = np.array([1.0, 1.0])
         p = build_parametric_vector(inst.m, d)
-        reduced, step = reduce_nonpositive_row(inst, d, p, 0)
+        reduced, step = reduce_nonpositive_row(inst, p, 0)
         assert isinstance(step, DropStep)
         assert reduced.m.full() == pytest.approx(np.array([[0.0]]))
         assert reduced.q == pytest.approx([-1.0])
@@ -64,7 +64,7 @@ class TestReduceNonpositiveRow:
         inst = make_instance([[1, -1], [-1, 1]], [-1.0, 0.0], [2.0, np.inf])
         d = np.array([1.0, 1.0])
         p = build_parametric_vector(inst.m, d)
-        reduced, step = reduce_nonpositive_row(inst, d, p, 0)
+        reduced, step = reduce_nonpositive_row(inst, p, 0)
         assert isinstance(step, FlipStep)
         assert reduced.q == pytest.approx([-1.0, -2.0])
         assert reduced.m.full() == pytest.approx(np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -102,7 +102,7 @@ class TestReduceNonpositiveRow:
         d = np.ones(2)
         p = build_parametric_vector(inst.m, d)  # strictly positive here
         with pytest.raises(PreconditionViolated):
-            reduce_nonpositive_row(inst, d, p, 0)
+            reduce_nonpositive_row(inst, p, 0)
 
     def test_reduction_preserves_class(self):
         rng = np.random.default_rng(1)
@@ -120,7 +120,7 @@ class TestReduceNonpositiveRow:
             p = build_parametric_vector(m, d)
             if p[0] > 1e-12:
                 continue
-            reduced, step = reduce_nonpositive_row(inst, d, p, 0)
+            reduced, step = reduce_nonpositive_row(inst, p, 0)
             assert is_in_sbar_plus(reduced.m)
 
 
