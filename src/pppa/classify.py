@@ -136,11 +136,8 @@ def is_sbar_nk(m, k: int) -> bool:
         return False
     if k >= n:
         return True
-    a = m.full()
     for kept in combinations(range(n), n - k):
-        idx = np.array(kept, dtype=int)
-        sub = SymMatrix.from_dense(a[np.ix_(idx, idx)])
-        if not is_in_sbar_plus(sub):
+        if not is_in_sbar_plus(m.submatrix(kept)):
             return False
     return True
 

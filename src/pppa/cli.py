@@ -22,7 +22,7 @@ from .generate import GENERATOR_ID, GenSpec, generate
 from .oracle import ORACLE_MAX_N, enumerate_active_sets, kkt_residual, recession_check
 from .pivoting import OPTIMAL, UNBOUNDED, QpInstance, SolveOutcome, solve_pd
 from .qpb import load_qpb, save_qpb
-from .reductions import solve_sbar, solve_sbar_n1, solve_sbar_nk
+from .reductions import solve_sbar, solve_sbar_nk
 from .tolerances import default_kkt_tol
 
 EXIT_OPTIMAL = 0
@@ -42,40 +42,32 @@ def _fmt(v: float) -> str:
 
 
 def _method(text: str):
+    """``(name, level)``: the class level a method solves at; ``auto`` and ``pd`` carry None."""
     if re.fullmatch(r"sbark=\d+", text):
         return ("sbark", int(text.split("=")[1]))
-    if text in ("auto", "pd", "psd", "sbar", "sbar1"):
-        return (text, None)
+    levels = {"auto": None, "pd": None, "psd": 0, "sbar": 0, "sbar1": 1}
+    if text in levels:
+        return (text, levels[text])
     raise argparse.ArgumentTypeError(
         f"unknown method {text!r}; expected auto|pd|psd|sbar|sbar1|sbark=K")
 
 
 def _solve_with_method(instance: QpInstance, method) -> SolveOutcome:
     name, k = method
-    if name == "sbar":
-        return solve_sbar(instance, check=False)
-    if name == "psd":
-        return solve_sbar(instance, check=True)
-    if name == "sbar1":
-        return solve_sbar_n1(instance)
-    if name == "sbark":
-        return solve_sbar_nk(instance, k)
     if name == "pd":
         report = classify(instance.m, k_max=0)
         if not (report.is_pd and report.is_sbar_plus and report.p is not None):
             raise PppaError("method pd requires a positive definite comparison-psd matrix")
         return solve_pd(instance, report.p)
-    # auto: classify, then route by the smallest verified class level.
-    report = classify(instance.m, k_max=2)
-    if report.k_level == 0:
-        return solve_sbar(instance, check=False)
-    if report.k_level == 1:
-        return solve_sbar_n1(instance)
-    if report.k_level == 2:
-        return solve_sbar_nk(instance, 2)
-    raise PppaError("classification_failed: matrix is outside the supported classes "
-                    f"(psd={str(report.is_psd).lower()}, comparison_psd="
-                    f"{str(report.is_sbar_plus).lower()})")
+    if name == "auto":
+        # Route by the smallest verified class level.
+        report = classify(instance.m, k_max=2)
+        k = report.k_level
+        if k is None:
+            raise PppaError("classification_failed: matrix is outside the supported classes "
+                            f"(psd={str(report.is_psd).lower()}, comparison_psd="
+                            f"{str(report.is_sbar_plus).lower()})")
+    return solve_sbar_nk(instance, k, check=name == "psd")
 
 
 def _outcome_line(out: SolveOutcome) -> str:

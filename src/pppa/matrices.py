@@ -183,17 +183,6 @@ def _trailing_block(a: np.ndarray, l: np.ndarray, perm: np.ndarray, r: int) -> n
     return a[np.ix_(rest, rest)] - l21 @ l21.T
 
 
-def _pivoted_cholesky_pivots(a: np.ndarray, stop_tol: float):
-    """Diagonal-pivoted Cholesky elimination.
-
-    Returns ``(pivots, remaining)`` where ``pivots`` are the accepted
-    pivot values in elimination order and ``remaining`` is the
-    untouched trailing block (empty when elimination completed).
-    """
-    l, perm, rank = _pivoted_cholesky(a, stop_tol)
-    return np.diagonal(l)[:rank] ** 2, _trailing_block(a, l, perm, rank)
-
-
 def _banded_psd(diag: np.ndarray, sub: np.ndarray, tol_abs: float) -> bool:
     # LDL recursion along the band; a vanished pivot forces the
     # adjacent coupling to vanish too, else the 2x2 block is indefinite.
@@ -268,8 +257,8 @@ def _check_block_nonsingular(maa: np.ndarray, scale: float) -> None:
     # nonsingularity is equivalent to positive definiteness.
     if maa.shape[0] == 0:
         return
-    _, remaining = _pivoted_cholesky_pivots(maa, TOL_PIVOT * scale)
-    if remaining.size:
+    _, _, rank = _pivoted_cholesky(maa, TOL_PIVOT * scale)
+    if rank < maa.shape[0]:
         raise SingularBlock(f"principal block of order {maa.shape[0]} fails the nonsingularity test")
 
 

@@ -17,20 +17,20 @@ feasibility check for the interior case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 
 import numpy as np
+import scipy.linalg
 
 from .classify import (build_parametric_vector, find_dominance_vector,
                        is_in_sbar_plus, is_sbar_nk)
 from .errors import (ClassificationFailed, InvariantViolation, NotApplicable,
                      PreconditionViolated, RecursionCapExceeded)
 from .matrices import (SymMatrix, as_sym, comparison_matrix,
-                       irreducible_components, _pivoted_cholesky_pivots)
+                       irreducible_components, _pivoted_cholesky)
 from .oracle import find_recession_direction
 from .pivoting import (OPTIMAL, UNBOUNDED, QpInstance, Ray, SolveOutcome,
                        Stats, solve_psd)
-from .tolerances import (TOL_FM, TOL_KERNEL_FLOOR, TOL_KKT, TOL_LIFT_RAY, TOL_PIVOT,
+from .tolerances import (TOL_FM, TOL_KKT, TOL_LIFT_RAY, TOL_PIVOT,
                          TOL_PSD, TOL_ZERO_ROW)
 
 K_CAP = 3
@@ -522,28 +522,27 @@ def fm_feasibility_2var(eq_a, eq_b, ineq_a=None, ineq_b=None,
 
 
 def _interior_block(instance: QpInstance, tol: float) -> np.ndarray | None:
-    """Feasible solution of q + Mx = 0, 0 <= x <= u on one block, or None."""
+    """Feasible solution of q + Mx = 0, 0 <= x <= u on one block, or None.
+
+    One pivoted Cholesky of M picks alpha, its first n-2 pivots (a
+    positive definite block by construction), and leaves the other two
+    indices beta to a two-variable feasibility check.  Below rank n-2
+    the solution set is wider than two variables and the answer is None.
+    """
     m, q, u = instance.m, instance.q, instance.u
     n = m.n
     a = m.full()
-    scale = m.scale()
     if n <= 2:
         return fm_feasibility_2var(a, -q, lower=np.zeros(n), upper=u,
                                    tol=tol)
-    alpha = None
-    for subset in combinations(range(n), n - 2):
-        idx = np.array(subset, dtype=int)
-        _, remaining = _pivoted_cholesky_pivots(a[np.ix_(idx, idx)], TOL_PIVOT * scale)
-        if remaining.size == 0:
-            alpha = idx
-            break
-    if alpha is None:
-        return _interior_by_kernel(instance, tol)
-    beta = np.setdiff1d(np.arange(n), alpha)
-    maa = a[np.ix_(alpha, alpha)]
+    l, perm, rank = _pivoted_cholesky(a, TOL_PIVOT * m.scale())
+    if rank < n - 2:
+        return None
+    alpha, beta = perm[:n - 2], perm[n - 2:]
+    factor = (l[:n - 2, :n - 2], True)
     mab = a[np.ix_(alpha, beta)]
-    sol_q = np.linalg.solve(maa, q[alpha])
-    sol_b = np.linalg.solve(maa, mab)
+    sol_q = scipy.linalg.cho_solve(factor, q[alpha], check_finite=False)
+    sol_b = scipy.linalg.cho_solve(factor, mab, check_finite=False)
     eq_a = a[np.ix_(beta, beta)] - mab.T @ sol_b
     eq_b = -(q[beta] - mab.T @ sol_q)
     # 0 <= -Maa^{-1}(q_a + Mab x_b) <= u_a  becomes two banks of rows.
@@ -557,33 +556,6 @@ def _interior_block(instance: QpInstance, tol: float) -> np.ndarray | None:
     x = np.empty(n)
     x[beta] = x_beta
     x[alpha] = -(sol_q + sol_b @ x_beta)
-    return np.minimum(np.maximum(x, 0.0), u)
-
-
-def _interior_by_kernel(instance: QpInstance, tol: float) -> np.ndarray | None:
-    # Fallback when no order-(n-2) block is nonsingular: parametrize the
-    # solution set of q + Mx = 0 by the kernel (dimension <= 2 here).
-    m, q, u = instance.m, instance.q, instance.u
-    a = m.full()
-    x0, *_ = np.linalg.lstsq(a, -q, rcond=None)
-    scale = 1.0 + float(np.max(np.abs(q), initial=0.0))
-    if float(np.max(np.abs(a @ x0 + q), initial=0.0)) > tol * scale:
-        return None
-    vals, vecs = np.linalg.eigh(a)
-    kernel = vecs[:, np.abs(vals) <= max(TOL_PSD * m.scale(), TOL_KERNEL_FLOOR)]
-    r = kernel.shape[1]
-    if r > 2:
-        return None
-    if r == 0:
-        ok = float(np.min(x0)) >= -tol and bool(np.all(x0 <= u + tol))
-        return np.minimum(np.maximum(x0, 0.0), u) if ok else None
-    g = np.vstack([-kernel, kernel])
-    h = np.concatenate([x0, u - x0])
-    finite = np.isfinite(h)
-    z = fm_feasibility_2var(np.zeros((1, r)), np.zeros(1), g[finite], h[finite], tol=tol)
-    if z is None:
-        return None
-    x = x0 + kernel @ z
     return np.minimum(np.maximum(x, 0.0), u)
 
 

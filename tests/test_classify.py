@@ -7,6 +7,7 @@ from pppa import (SymMatrix, build_parametric_vector, classify,
                   comparison_matrix, find_dominance_vector, irreducible_components,
                   is_in_sbar_plus, is_psd, is_sbar_nk, is_z_matrix)
 from pppa.errors import NegativeComponent, NotApplicable, TooLarge
+from pppa.generate import GenSpec, gen_tridiagonal
 
 from helpers import random_sbar, random_symmetric, random_z_psd
 
@@ -206,6 +207,11 @@ class TestIsSbarNk:
     def test_guard(self):
         with pytest.raises(TooLarge):
             is_sbar_nk(np.eye(300), 4)
+
+    def test_banded_input_stays_banded(self):
+        m = gen_tridiagonal(GenSpec(family="tridiagonal", n=12, seed=0)).m
+        assert is_sbar_nk(m, 1)
+        assert m._dense is None
 
 
 def _exhaustive_nk(m, k):

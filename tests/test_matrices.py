@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from pppa import (SymMatrix, comparison_matrix, irreducible_components, is_pd,
                   is_psd, schur_complement, tridiag_solve)
 from pppa.errors import SingularBlock, SingularPivot
-from pppa.matrices import (_pivoted_cholesky, _pivoted_cholesky_pivots, definiteness,
+from pppa.matrices import (_pivoted_cholesky, _trailing_block, definiteness,
                            tridiag_run_solve)
 from pppa.tolerances import TOL_PIVOT, TOL_PSD
 
@@ -215,10 +215,12 @@ class TestIsPsd:
     def test_remaining_is_schur_complement_of_pivoted_block(self, n, stop_at):
         rng = np.random.default_rng(n)
         a = random_pd(rng, n).full()
-        full_pivots, _ = _pivoted_cholesky_pivots(a, 0.0)
+        l, _, full_rank = _pivoted_cholesky(a, 0.0)
+        full_pivots = np.diagonal(l)[:full_rank] ** 2
         stop_tol = full_pivots[stop_at]
-        pivots, remaining = _pivoted_cholesky_pivots(a, stop_tol)
-        _, perm, rank = _pivoted_cholesky(a, stop_tol)
+        l, perm, rank = _pivoted_cholesky(a, stop_tol)
+        pivots = np.diagonal(l)[:rank] ** 2
+        remaining = _trailing_block(a, l, perm, rank)
         assert pivots.size == rank and 0 < rank < n
         assert pivots == pytest.approx(full_pivots[:rank])
         lead, rest = perm[:rank], perm[rank:]

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from pppa import (QpInstance, SymMatrix, build_parametric_vector,
                   comparison_matrix, enumerate_active_sets,
                   find_dominance_vector, flip_variable, fm_feasibility_2var,
-                  interior_solution, is_in_sbar_plus, kkt_residual,
+                  interior_solution, is_in_sbar_plus, is_pd, kkt_residual,
                   preprocess_zero_diag, recession_check, reduce_nonpositive_row,
                   solve_sbar, solve_sbar_n1, solve_sbar_nk)
 from pppa.errors import (ClassificationFailed, InvariantViolation,
@@ -391,6 +392,19 @@ class TestLinearTermConstancy:
         assert checked > 20
 
 
+INTERIOR_CASES = [(n, deficit, repeat) for n in range(3, 9)
+                  for deficit, repeat in ((0, False), (1, False), (1, True), (2, False))
+                  if n >= 4 or not repeat]
+
+
+def _linprog_feasible(a, q, u):
+    """Reference: is {Mx = -q, 0 <= x <= u} nonempty?"""
+    bounds = [(0.0, ui if np.isfinite(ui) else None) for ui in u]
+    res = linprog(np.zeros(len(q)), A_eq=a, b_eq=-q, bounds=bounds, method="highs")
+    assert res.status in (0, 2)
+    return res.status == 0
+
+
 class TestInteriorSolution:
     def test_recovers_stationary_point(self):
         rng = np.random.default_rng(13)
@@ -404,3 +418,41 @@ class TestInteriorSolution:
     def test_none_when_inconsistent(self):
         inst = make_instance([[1, -1], [-1, 1]], [-1.0, 0.0], [np.inf, np.inf])
         assert interior_solution(inst) is None
+
+    @pytest.mark.parametrize("n, deficit, repeat", INTERIOR_CASES)
+    def test_matches_linprog_reference(self, n, deficit, repeat):
+        # M = B B' of rank n - deficit; with ``repeat`` rows 0 and 1 of M
+        # coincide, so the leading order-(n-2) subset is singular.
+        rng = np.random.default_rng(100 * n + 10 * deficit + repeat)
+        b = rng.normal(size=(n, n - deficit))
+        if repeat:
+            b[1] = b[0]
+        a = b @ b.T
+        assert is_pd(a[:n - 2, :n - 2]) != repeat
+        u = np.where(rng.random(n) < 0.3, np.inf, rng.uniform(1.0, 2.0, n))
+        inside = rng.uniform(0.2, 0.8, n)
+        outside = rng.uniform(0.2, 0.8, n)
+        outside[rng.integers(n)] = -1.0
+        qs = [-a @ inside, -a @ outside]
+        if deficit:
+            qs.append(qs[0] + np.linalg.eigh(a)[1][:, 0])  # leaves the range of M
+        found = []
+        for q in qs:
+            inst = make_instance(a, q, u)
+            x = interior_solution(inst)
+            assert (x is not None) == _linprog_feasible(a, q, u)
+            if x is not None:
+                assert kkt_residual(inst, x) <= 1e-10 * (1 + np.max(np.abs(q)))
+            found.append(x is not None)
+        assert found[0] and not all(found)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_rank_below_n_minus_2_is_none(self, n):
+        # q + Mx = 0 has interior solutions, but they form a set wider
+        # than the two variables the feasibility check takes.
+        rng = np.random.default_rng(n)
+        b = rng.normal(size=(n, n - 3))
+        a = b @ b.T
+        inst = make_instance(a, -a @ rng.uniform(0.2, 0.8, n), np.full(n, 2.0))
+        assert interior_solution(inst) is None
+
