@@ -12,11 +12,10 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NegativeComponent, NotApplicable, SingularPivot, TooLarge
 from .matrices import (SymMatrix, as_sym, comparison_matrix, definiteness,
-                       irreducible_components, is_psd, tridiag_solve)
+                       irreducible_components, is_psd)
 from .tolerances import TOL_D_POSITIVE, TOL_KERNEL, TOL_PSD
 
 SUBSET_GUARD = 10 ** 6
@@ -24,23 +23,12 @@ SUBSET_GUARD = 10 ** 6
 
 def is_z_matrix(m) -> bool:
     """True iff all off-diagonal entries are nonpositive."""
-    m = as_sym(m)
-    if m.tridiagonal:
-        _, e = m.band()
-        return bool(np.all(e <= 0.0))
-    a = m.full().copy()
-    np.fill_diagonal(a, 0.0)
-    return bool(np.all(a <= 0.0))
+    return as_sym(m).is_z()
 
 
 def is_in_sbar_plus(m, tol: float = TOL_PSD) -> bool:
     """True iff the comparison matrix of M is positive semidefinite."""
     return is_psd(comparison_matrix(m), tol)
-
-
-def _dense_spd_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    c = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    return scipy.linalg.cho_solve(c, rhs, check_finite=False)
 
 
 def find_dominance_vector(mbar, tol: float = TOL_KERNEL,
@@ -64,18 +52,10 @@ def find_dominance_vector(mbar, tol: float = TOL_KERNEL,
     if scale is None:
         scale = mbar.scale()
     d = np.ones(n)
-    lead = np.arange(n - 1)
     try:
         if n > 1:
-            rhs = -mbar.full()[:-1, -1] if not mbar.tridiagonal else None
-            if mbar.tridiagonal:
-                rhs_full = np.zeros(n)
-                diag, sub = mbar.band()
-                rhs_full[n - 2] = -sub[n - 2]
-                d[:-1] = tridiag_solve(mbar, lead, rhs_full)
-            else:
-                d[:-1] = _dense_spd_solve(mbar.full()[:-1, :-1], rhs)
-    except (np.linalg.LinAlgError, SingularPivot) as exc:
+            d[:-1] = mbar.solve(np.arange(n - 1), -mbar.row(n - 1))
+    except SingularPivot as exc:
         raise NotApplicable(f"leading principal block is not positive definite: {exc}") from exc
 
     residual = float(np.max(np.abs(mbar.matvec(d))))
@@ -85,13 +65,9 @@ def find_dominance_vector(mbar, tol: float = TOL_KERNEL,
         return d
 
     # Nonsingular case: d = mbar^{-1} 1 > 0 for a Stieltjes matrix.
-    ones = np.ones(n)
     try:
-        if mbar.tridiagonal:
-            d = tridiag_solve(mbar, np.arange(n), ones)
-        else:
-            d = _dense_spd_solve(mbar.full(), ones)
-    except (np.linalg.LinAlgError, SingularPivot) as exc:
+        d = mbar.solve(np.arange(n), np.ones(n))
+    except SingularPivot as exc:
         raise NotApplicable(f"comparison matrix is not positive definite: {exc}") from exc
     if np.min(d) <= TOL_D_POSITIVE:
         raise NotApplicable("solved dominance vector is not positive")
@@ -132,14 +108,13 @@ def is_sbar_nk(m, k: int) -> bool:
     n = m.n
     if comb(n, min(k, n)) > SUBSET_GUARD:
         raise TooLarge(f"C({n},{k}) exceeds the exhaustive-check guard")
-    if not is_psd(m):
-        return False
-    if k >= n:
-        return True
-    for kept in combinations(range(n), n - k):
-        if not is_in_sbar_plus(m.submatrix(kept)):
-            return False
-    return True
+    return is_psd(m) and _subsets_in_sbar_plus(m, k)
+
+
+def _subsets_in_sbar_plus(m: SymMatrix, k: int) -> bool:
+    """True iff every principal submatrix of order n-k has a psd comparison matrix."""
+    return k >= m.n or all(is_in_sbar_plus(m.submatrix(kept))
+                           for kept in combinations(range(m.n), m.n - k))
 
 
 @dataclass
@@ -187,7 +162,7 @@ def classify(m, k_max: int = 2) -> ClassReport:
         for k in range(1, k_max + 1):
             if comb(m.n, min(k, m.n)) > SUBSET_GUARD:
                 break
-            if is_sbar_nk(m, k):
+            if _subsets_in_sbar_plus(m, k):
                 k_level = k
                 break
     d = p = None

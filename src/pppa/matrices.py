@@ -2,10 +2,11 @@
 
 Matrices are stored symmetric by construction: the dense constructor
 reads only the lower triangle and mirrors it, so ``value(i, j) ==
-value(j, i)`` holds exactly.  Tridiagonal matrices additionally carry
-their diagonal and sub-diagonal as flat arrays so that every operation
-on them runs in linear time; the dense array is materialized lazily
-and only on demand.
+value(j, i)`` holds exactly.  Tridiagonal matrices carry their diagonal
+and sub-diagonal as flat arrays, and the ``tridiagonal`` tag alone picks
+the kernel of every operation, so each runs in linear time on them;
+``full()`` builds a dense view on demand and caches it without changing
+which kernel runs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def _as_vector(v) -> np.ndarray:
 
 @dataclass
 class SymMatrix:
-    """Dense symmetric matrix with an optional tridiagonal tag.
+    """Symmetric matrix, stored dense or, under the tridiagonal tag, as two bands.
 
     Use :meth:`from_dense` or :meth:`from_banded` to construct; the
     raw constructor is internal.
@@ -59,7 +60,7 @@ class SymMatrix:
         return cls(n=n, tridiagonal=True, _diag=diag.copy(), _sub=sub.copy())
 
     def full(self) -> np.ndarray:
-        """Dense symmetric array (materialized once for banded storage)."""
+        """Dense symmetric array; built once and cached for banded storage."""
         if self._dense is None:
             a = np.diag(self._diag)
             if self.n > 1:
@@ -75,7 +76,7 @@ class SymMatrix:
         return self._diag, self._sub
 
     def value(self, i: int, j: int) -> float:
-        if self.tridiagonal and self._dense is None:
+        if self.tridiagonal:
             if i == j:
                 return float(self._diag[i])
             if abs(i - j) == 1:
@@ -84,7 +85,7 @@ class SymMatrix:
         return float(self.full()[i, j])
 
     def diagonal(self) -> np.ndarray:
-        if self.tridiagonal and self._dense is None:
+        if self.tridiagonal:
             return self._diag
         return np.diagonal(self.full())
 
@@ -97,7 +98,7 @@ class SymMatrix:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """M @ x for a vector or a (n, k) block; O(n) per column if banded."""
         x = np.asarray(x, dtype=float)
-        if self.tridiagonal and self._dense is None:
+        if self.tridiagonal:
             d, e = self._diag, self._sub
             if x.ndim == 1:
                 y = d * x
@@ -124,10 +125,94 @@ class SymMatrix:
         else:
             out += c * self.full()[j]  # a row: M is symmetric
 
+    def row(self, i: int) -> np.ndarray:
+        """Row i of M (its column i too, M being symmetric) as a new array."""
+        r = np.zeros(self.n)
+        self.add_column(r, i, 1.0)
+        return r
+
+    def offdiag_abs_max(self, idx) -> np.ndarray:
+        """max over j != i of |m_ij| for each i in ``idx``; O(1) per index if banded."""
+        idx = np.asarray(idx, dtype=int)
+        if self.tridiagonal:
+            # pad[i] is i's coupling to i - 1, pad[i + 1] its coupling to i + 1.
+            pad = np.abs(np.concatenate(([0.0], self._sub, [0.0])))
+            return np.maximum(pad[idx], pad[idx + 1])
+        rows = np.abs(self.full()[idx])
+        rows[np.arange(idx.size), idx] = 0.0
+        return np.max(rows, axis=1, initial=0.0)
+
+    def is_z(self) -> bool:
+        """True iff every off-diagonal entry is nonpositive."""
+        if self.tridiagonal:
+            return bool(np.all(self._sub <= 0.0))
+        a = self.full().copy()
+        np.fill_diagonal(a, 0.0)
+        return bool(np.all(a <= 0.0))
+
+    def solve(self, idx, rhs) -> np.ndarray:
+        """Solve M[idx, idx] y = rhs[idx] for a sorted ``idx`` (the block positive definite).
+
+        ``rhs`` is indexed by original positions (length n, one or more
+        columns) and the solution is aligned with ``idx``.  Banded storage
+        runs :func:`tridiag_solve`, dense storage a Cholesky factorization
+        of the block; both raise :class:`SingularPivot` on a block that
+        fails.
+        """
+        if self.tridiagonal:
+            return tridiag_solve(self, idx, rhs)
+        idx = np.asarray(idx, dtype=int)
+        a = self.full()
+        # A contiguous run is sliced: a view costs no gather before the copy LAPACK makes.
+        run = idx.size and idx[-1] - idx[0] + 1 == idx.size
+        block = a[idx[0]:idx[-1] + 1, idx[0]:idx[-1] + 1] if run else a[np.ix_(idx, idx)]
+        try:
+            c = scipy.linalg.cho_factor(block, lower=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise SingularPivot(str(exc)) from exc
+        return scipy.linalg.cho_solve(c, rhs[idx], check_finite=False)
+
+    def eliminate(self, i: int):
+        """Eliminate index i by one pivot: ``(M/m_ii, M[i, others], m_ii)``.
+
+        The Schur complement M/m_ii lives on the other indices in their
+        order; a tridiagonal M gives a tridiagonal one, changed only next
+        to i.
+        """
+        n = self.n
+        keep = np.concatenate([np.arange(i), np.arange(i + 1, n)])
+        row = self.row(i)[keep]
+        piv = self.value(i, i)
+        if self.tridiagonal:
+            reduced = self.submatrix(keep)
+            d2, e2 = reduced._diag, reduced._sub  # fresh copies, updated in place
+            if i > 0:
+                d2[i - 1] -= row[i - 1] * row[i - 1] / piv
+            if i < n - 1:
+                d2[i] -= row[i] * row[i] / piv
+            if 0 < i < n - 1:
+                e2[i - 1] -= row[i - 1] * row[i] / piv
+            return reduced, row, piv
+        block = self.full()[np.ix_(keep, keep)] - np.outer(row, row) / piv
+        return SymMatrix.from_dense((block + block.T) / 2.0), row, piv
+
+    def flip(self, i: int) -> "SymMatrix":
+        """S M S with S the identity but s_ii = -1: row and column i change
+        sign, m_ii is negated twice and stays put."""
+        if self.tridiagonal:
+            e = self._sub.copy()
+            at = slice(max(i - 1, 0), i + 1)
+            e[at] = -e[at]
+            return SymMatrix.from_banded(self._diag, e)
+        a = self.full().copy()
+        a[i, :] = -a[i, :]
+        a[:, i] = -a[:, i]
+        return SymMatrix.from_dense(a)
+
     def submatrix(self, keep) -> "SymMatrix":
         """Principal submatrix on the (sorted) index set ``keep``."""
         keep = np.asarray(keep, dtype=int)
-        if self.tridiagonal and self._dense is None:
+        if self.tridiagonal:
             d = self._diag[keep]
             if keep.size > 1:
                 adjacent = keep[1:] == keep[:-1] + 1
@@ -225,7 +310,7 @@ def definiteness(m, psd_tol: float = TOL_PSD, pd_tol: float = TOL_PIVOT) -> tupl
     if m.n == 0:
         return True, True
     psd_abs, pd_abs = psd_tol * m.scale(), pd_tol * m.scale()
-    if m.tridiagonal and m._dense is None:
+    if m.tridiagonal:
         d, e = m.band()
         return _banded_psd(d, e, psd_abs), _banded_pd(d, e, pd_abs)
     a = m.full()
@@ -287,7 +372,7 @@ def irreducible_components(m) -> list[np.ndarray]:
     n = m.n
     if n == 0:
         return []
-    if m.tridiagonal and m._dense is None:
+    if m.tridiagonal:
         _, e = m.band()
         cuts = np.flatnonzero(e == 0.0)
         starts = np.concatenate(([0], cuts + 1))

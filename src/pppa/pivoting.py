@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import IterationCap, PreconditionViolated
 from .factors import FactorState, factor_update
-from .matrices import (SymMatrix, alpha_runs, as_sym, quadratic_objective, tridiag_run_solve,
-                       tridiag_solve)
+from .matrices import SymMatrix, alpha_runs, as_sym, quadratic_objective, tridiag_run_solve
 from .tolerances import (TOL_PIVOT, TOL_PSD, TOL_RATIO, TOL_RAY_NEGATIVE, TOL_RAY_ZERO,
                          TOL_TAU_OPTIMAL)
 
@@ -207,10 +206,8 @@ def compute_bars(instance: QpInstance, partition: Partition, p: np.ndarray,
         return qbar, pbar
     alpha = partition.alpha
     sol = np.zeros_like(rhs)
-    if alpha.size and m.tridiagonal:
-        sol[alpha] = tridiag_solve(m, alpha, rhs)
-    elif alpha.size:
-        sol[alpha] = np.linalg.solve(m.full()[np.ix_(alpha, alpha)], rhs[alpha])
+    if alpha.size:
+        sol[alpha] = m.solve(alpha, rhs)
     prod = m.matvec(sol)
     qbar = q + mug - prod[:, 0]
     pbar = p - prod[:, 1]

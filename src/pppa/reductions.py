@@ -135,39 +135,6 @@ def _finish(instance: QpInstance, out: SolveOutcome) -> SolveOutcome:
 # Elementary reductions.
 
 
-def _drop_matrix(m: SymMatrix, i: int):
-    """Single-pivot Schur complement (M/m_ii) plus the data the lift needs."""
-    n = m.n
-    keep = np.concatenate([np.arange(i), np.arange(i + 1, n)])
-    if m.tridiagonal:
-        d, e = m.band()
-        piv = d[i]
-        sub_m = m.submatrix(keep)
-        d2, e2 = sub_m.band()
-        d2 = d2.copy()
-        e2 = e2.copy()
-        left = e[i - 1] if i > 0 else 0.0
-        right = e[i] if i < n - 1 else 0.0
-        if i > 0:
-            d2[i - 1] -= left * left / piv
-        if i < n - 1:
-            d2[i] -= right * right / piv
-        if 0 < i < n - 1:
-            e2[i - 1] -= left * right / piv
-        reduced = SymMatrix.from_banded(d2, e2)
-        row = np.zeros(n - 1)
-        if i > 0:
-            row[i - 1] = left
-        if i < n - 1:
-            row[i] = right
-        return reduced, row, float(piv)
-    a = m.full()
-    piv = float(a[i, i])
-    row = a[i, keep].copy()
-    block = a[np.ix_(keep, keep)] - np.outer(row, row) / piv
-    return SymMatrix.from_dense((block + block.T) / 2.0), row, piv
-
-
 def flip_variable(m: SymMatrix, q: np.ndarray, i: int, u_i: float):
     """Sign-flip transform for variable i at finite upper bound u_i.
 
@@ -176,30 +143,9 @@ def flip_variable(m: SymMatrix, q: np.ndarray, i: int, u_i: float):
     """
     m = as_sym(m)
     q = np.asarray(q, dtype=float)
-    n = m.n
-    if m.tridiagonal:
-        d, e = m.band()
-        e2 = e.copy()
-        col = np.zeros(n)
-        col[i] = d[i]
-        if i > 0:
-            e2[i - 1] = -e2[i - 1]
-            col[i - 1] = e[i - 1]
-        if i < n - 1:
-            e2[i] = -e2[i]
-            col[i + 1] = e[i]
-        m2 = SymMatrix.from_banded(d, e2)
-    else:
-        # Conjugation by the signature matrix: row and column i flip,
-        # the diagonal entry is negated twice and stays put.
-        a = m.full().copy()
-        a[i, :] = -a[i, :]
-        a[:, i] = -a[:, i]
-        m2 = SymMatrix.from_dense(a)
-        col = m.full()[:, i]
-    q2 = q + u_i * col
+    q2 = q + u_i * m.row(i)
     q2[i] = -(q[i] + m.value(i, i) * u_i)
-    return m2, q2
+    return m.flip(i), q2
 
 
 def preprocess_zero_diag(instance: QpInstance, scale: float | None = None):
@@ -220,19 +166,10 @@ def preprocess_zero_diag(instance: QpInstance, scale: float | None = None):
     zero = np.flatnonzero(diag <= TOL_PIVOT * scale)
     if zero.size == 0:
         return instance, [], None
-    a_full = None
-    for i in zero:
-        if m.tridiagonal:
-            row_max = max(abs(m.value(i, i - 1)) if i > 0 else 0.0,
-                          abs(m.value(i, i + 1)) if i < n - 1 else 0.0)
-        else:
-            a_full = m.full() if a_full is None else a_full
-            row = a_full[i].copy()
-            row[i] = 0.0
-            row_max = float(np.max(np.abs(row), initial=0.0))
-        if row_max > TOL_ZERO_ROW * scale:
-            raise InvariantViolation(
-                f"diagonal entry {i} vanishes but its row does not; matrix is not comparison-psd")
+    nonzero_row = np.flatnonzero(m.offdiag_abs_max(zero) > TOL_ZERO_ROW * scale)
+    if nonzero_row.size:
+        raise InvariantViolation(f"diagonal entry {zero[nonzero_row[0]]} vanishes but its row "
+                                 "does not; matrix is not comparison-psd")
     q_tol = TOL_KKT * (1.0 + float(np.max(np.abs(q), initial=0.0)))
     for i in zero:
         if not np.isfinite(u[i]) and q[i] < -q_tol:
@@ -276,7 +213,7 @@ def reduce_nonpositive_row(instance: QpInstance, p: np.ndarray, i: int,
     n = m.n
     keep = np.concatenate([np.arange(i), np.arange(i + 1, n)])
     if not np.isfinite(u[i]):
-        reduced_m, row, piv = _drop_matrix(m, i)
+        reduced_m, row, piv = m.eliminate(i)
         q_hat = q[keep] - row * (q[i] / piv)
         step = DropStep(i=int(i), row=row, m_ii=piv, q_i=float(q[i]))
         return QpInstance(reduced_m, q_hat, u[keep]), step
@@ -543,7 +480,9 @@ def _interior_block(instance: QpInstance, tol: float) -> np.ndarray | None:
     mab = a[np.ix_(alpha, beta)]
     sol_q = scipy.linalg.cho_solve(factor, q[alpha], check_finite=False)
     sol_b = scipy.linalg.cho_solve(factor, mab, check_finite=False)
-    eq_a = a[np.ix_(beta, beta)] - mab.T @ sol_b
+    # At rank n-2 the factorization found the Schur block on beta zero at M's
+    # scale; the subtraction would leave roundoff for the check to misjudge.
+    eq_a = a[np.ix_(beta, beta)] - mab.T @ sol_b if rank > n - 2 else np.zeros((2, 2))
     eq_b = -(q[beta] - mab.T @ sol_q)
     # 0 <= -Maa^{-1}(q_a + Mab x_b) <= u_a  becomes two banks of rows.
     g = np.vstack([sol_b, -sol_b])
@@ -585,11 +524,10 @@ def _fixing_driver(instance: QpInstance, subsolve) -> SolveOutcome:
     stats = Stats()
     if n == 0:
         return SolveOutcome(status=OPTIMAL, x=np.zeros(0), stats=stats)
-    a = m.full()
     tol_cert = TOL_KKT * (1.0 + float(np.max(np.abs(q), initial=0.0)))
     for i in range(n):
         keep = np.concatenate([np.arange(i), np.arange(i + 1, n)])
-        row = a[i, keep]
+        row = m.row(i)[keep]
         sub_m = m.submatrix(keep)
         out = subsolve(QpInstance(sub_m, q[keep], u[keep]))
         stats.subproblems += 1
@@ -602,7 +540,8 @@ def _fixing_driver(instance: QpInstance, subsolve) -> SolveOutcome:
             stats.merge(out.stats)
             # Upper-bound certificate is the KKT sign condition at x_i = u_i,
             # which includes the m_ii u_i term of the gradient.
-            if out.status == UNBOUNDED or q[i] + a[i, i] * u[i] + float(row @ out.x) <= tol_cert:
+            if (out.status == UNBOUNDED
+                    or q[i] + m.value(i, i) * u[i] + float(row @ out.x) <= tol_cert):
                 return _lift_outcome(FixStep(i, float(u[i])), replace(out, stats=stats))
     stats.subproblems += 1
     x = interior_solution(instance)

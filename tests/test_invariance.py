@@ -1,5 +1,5 @@
-"""Invariance of the solution under reordering, scaling, bound flips and
-block-diagonal composition.
+"""Invariance of the solution under reordering, scaling, bound flips,
+block-diagonal composition and the storage state of the matrix.
 
 Each transform maps the problem to an equivalent one, so the status must
 match, the objective must map as the transform says, and the solution
@@ -9,9 +9,9 @@ mapped back must pass the KKT check of the original problem.
 import numpy as np
 import pytest
 
-from pppa import (GenSpec, QpInstance, SymMatrix, flip_variable, gen_sbar_nk, gen_sbar_random,
-                  irreducible_components, kkt_residual, recession_check, solve_psd, solve_sbar,
-                  solve_sbar_n1, solve_sbar_nk)
+from pppa import (GenSpec, QpInstance, SymMatrix, enumerate_active_sets, flip_variable,
+                  gen_sbar_nk, gen_sbar_random, irreducible_components, kkt_residual,
+                  recession_check, solve_psd, solve_sbar, solve_sbar_n1, solve_sbar_nk)
 from pppa.reductions import FlipStep
 
 from helpers import banded_family, objectives_match
@@ -125,3 +125,34 @@ def test_comparison_psd_input_goes_straight_to_pivoting(solve):
         out, ref = solve(inst), solve_sbar(inst, check=False)
         assert out.stats.subproblems == 0
         assert out.x.tobytes() == ref.x.tobytes()
+
+
+def _answer(out):
+    vector = out.x if out.status == "optimal" else out.ray.direction
+    return out.status, vector.tobytes(), out.stats.pivots
+
+
+def test_cached_dense_view_keeps_the_banded_answer():
+    # full() caches a dense array on a banded matrix; the tridiagonal tag
+    # alone picks the kernels, so the answer stays the same to the bit.
+    for d, e, q, u, _ in banded_family():
+        viewed = SymMatrix.from_banded(d, e)
+        viewed.full()
+        out = solve_sbar(QpInstance(viewed, q, u))
+        assert _answer(out) == _answer(solve_sbar(QpInstance(SymMatrix.from_banded(d, e), q, u)))
+
+
+def test_banded_family_against_the_oracle():
+    # The oracle reads the dense view first, on the same instance object.
+    statuses = set()
+    for d, e, q, u, _ in banded_family():
+        if d.size > 10:
+            continue
+        inst = QpInstance(SymMatrix.from_banded(d, e), q, u)
+        ref = enumerate_active_sets(inst)
+        out = solve_sbar(inst)
+        assert out.status == ref.status
+        statuses.add(out.status)
+        if out.status == "optimal":
+            assert abs(out.objective - ref.objective) <= 1e-8 * max(1.0, abs(ref.objective))
+    assert statuses == {"optimal", "unbounded"}

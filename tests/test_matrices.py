@@ -387,3 +387,31 @@ class TestSymMatrix:
         assert m.matvec(x) == pytest.approx(m.full() @ x)
         block = rng.uniform(-1, 1, size=(11, 3))
         assert m.matvec(block) == pytest.approx(m.full() @ block)
+
+    def test_format_methods_match_the_dense_copy(self):
+        # Every method that branches on the tridiagonal tag gives what its
+        # dense branch gives on the same matrix, and banded input stays banded.
+        rng = np.random.default_rng(41)
+        for n in range(1, 9):
+            for dominant in (False, True):
+                e = rng.uniform(-1, 1, size=n - 1) * (rng.uniform(size=n - 1) > 0.3)
+                if rng.uniform() < 0.5:
+                    e = np.minimum(e, 0.0)
+                d = rng.uniform(0.5, 1.5, size=n) * (1 - 2 * (rng.uniform(size=n) < 0.2))
+                if dominant:
+                    d = np.abs(d) + np.abs(np.concatenate(([0.0], e))) + np.abs(np.append(e, 0.0))
+                m = SymMatrix.from_banded(d, e)
+                dense = SymMatrix.from_dense(m.full())
+                idx = np.arange(n)
+                assert m.is_z() == dense.is_z()
+                assert np.array_equal(m.offdiag_abs_max(idx), dense.offdiag_abs_max(idx))
+                if dominant:
+                    rhs = rng.uniform(-1, 1, size=(n, 2))
+                    assert m.solve(idx, rhs) == pytest.approx(dense.solve(idx, rhs))
+                for i in range(n):
+                    assert np.array_equal(m.row(i), dense.row(i))
+                    assert m.flip(i).tridiagonal
+                    assert np.array_equal(m.flip(i).full(), dense.flip(i).full())
+                    (rb, row_b, piv_b), (rd, row_d, piv_d) = m.eliminate(i), dense.eliminate(i)
+                    assert rb.tridiagonal and piv_b == piv_d
+                    assert np.array_equal(row_b, row_d) and np.array_equal(rb.full(), rd.full())

@@ -422,7 +422,9 @@ class TestInteriorSolution:
     @pytest.mark.parametrize("n, deficit, repeat", INTERIOR_CASES)
     def test_matches_linprog_reference(self, n, deficit, repeat):
         # M = B B' of rank n - deficit; with ``repeat`` rows 0 and 1 of M
-        # coincide, so the leading order-(n-2) subset is singular.
+        # coincide, so the leading order-(n-2) subset is singular.  Scaling
+        # (M, q) by c keeps the feasible set, so the reference is taken at
+        # c = 1; at rank n-2 the rank decision must follow M's scale.
         rng = np.random.default_rng(100 * n + 10 * deficit + repeat)
         b = rng.normal(size=(n, n - deficit))
         if repeat:
@@ -438,12 +440,14 @@ class TestInteriorSolution:
             qs.append(qs[0] + np.linalg.eigh(a)[1][:, 0])  # leaves the range of M
         found = []
         for q in qs:
-            inst = make_instance(a, q, u)
-            x = interior_solution(inst)
-            assert (x is not None) == _linprog_feasible(a, q, u)
-            if x is not None:
-                assert kkt_residual(inst, x) <= 1e-10 * (1 + np.max(np.abs(q)))
-            found.append(x is not None)
+            feasible = _linprog_feasible(a, q, u)
+            for c in (1.0, 1e2, 1e4, 1e6):
+                inst = make_instance(c * a, c * q, u)
+                x = interior_solution(inst)
+                assert (x is not None) == feasible, c
+                if x is not None:
+                    assert kkt_residual(inst, x) <= 1e-10 * (1 + np.max(np.abs(c * q)))
+            found.append(feasible)
         assert found[0] and not all(found)
 
     @pytest.mark.parametrize("n", range(4, 9))
