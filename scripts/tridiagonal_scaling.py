@@ -1,8 +1,13 @@
 #!/usr/bin/env python3
 """Timing study for the tridiagonal fast path.
 
-Solve time should scale roughly quadratically in n (linear pivots,
-linear work per pivot); the doubling ratio t(2n)/t(n) stays near 4.
+A solve makes about n pivots.  Each pivot re-solves a window of a few
+entries in Python floats and makes four O(n) selection passes in numpy,
+so the time per pivot is nearly flat up to n of a few thousand (the
+doubling ratio t(2n)/t(n) sits nearer 2 than 4) and grows linearly
+beyond, which makes the total quadratic in the limit.  The script
+prints, for each n, the best solve time and the time per pivot, and the
+ratio of the per-pivot times at the largest and the smallest n.
 
 Example:
     python scripts/tridiagonal_scaling.py --n-list 1000,2000,4000 --reps 3
@@ -26,9 +31,9 @@ def main(argv=None) -> int:
     sizes = [int(t) for t in args.n_list.split(",") if t]
     solve_sbar(gen_tridiagonal(GenSpec(family="tridiagonal", n=200, seed=0)),
                check=False)  # warm-up
-    best = {}
+    best, per_pivot = {}, {}
     for n in sizes:
-        times = []
+        times, unit = [], []
         pivots = flops = 0
         for rep in range(args.reps):
             inst = gen_tridiagonal(GenSpec(family="tridiagonal", n=n,
@@ -38,12 +43,16 @@ def main(argv=None) -> int:
             times.append(time.perf_counter() - t0)
             pivots = out.stats.pivots
             flops = out.stats.max_iter_flops
-        best[n] = min(times)
+            unit.append(times[-1] / max(pivots, 1))
+        best[n], per_pivot[n] = min(times), min(unit)
         print(f"n={n:6d}  best={best[n]*1e3:9.2f} ms  pivots={pivots}  "
-              f"max per-iteration flops/n={flops / n:.1f}")
+              f"us/pivot={per_pivot[n]*1e6:7.1f}  max per-iteration flops/n={flops / n:.1f}")
     for small, large in zip(sizes, sizes[1:]):
         if large == 2 * small:
             print(f"t({large})/t({small}) = {best[large] / best[small]:.2f}")
+    if len(per_pivot) > 1:
+        small, large = min(per_pivot), max(per_pivot)
+        print(f"us/pivot at n={large} / n={small} = {per_pivot[large] / per_pivot[small]:.2f}")
     return 0
 
 

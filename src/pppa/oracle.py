@@ -12,7 +12,6 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
-import scipy.optimize
 
 from .errors import TooLarge
 from .matrices import as_sym
@@ -95,6 +94,10 @@ def find_recession_direction(instance: QpInstance, tol: float = TOL_PSD) -> np.n
     kernel = vecs[:, np.abs(vals) <= max(tol * scale, TOL_KERNEL_FLOOR)]
     if kernel.shape[1] == 0:
         return None
+    # Imported here, its one use: at module level it cost every `pppa` import
+    # about 20 MB of memory and 0.2 s, though most solves never reach it.
+    import scipy.optimize
+
     qf = instance.q[free]
     # LP over the kernel: minimize q'd with d >= 0 and sum(d) <= 1.
     c = qf @ kernel

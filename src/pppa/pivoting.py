@@ -17,13 +17,14 @@ plain 2n-step scheme as a special case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IterationCap, PreconditionViolated
+from .errors import IterationCap, PreconditionViolated, SingularPivot
 from .factors import FactorState, factor_update
-from .matrices import SymMatrix, alpha_runs, as_sym, quadratic_objective, tridiag_run_solve
+from .matrices import SymMatrix, as_sym, quadratic_objective, tridiag_run_solve
 from .tolerances import (TOL_PIVOT, TOL_PSD, TOL_RATIO, TOL_RAY_NEGATIVE, TOL_RAY_ZERO,
                          TOL_TAU_OPTIMAL)
 
@@ -305,6 +306,9 @@ _MOVES = {
     "exchange_to_upper": (ALPHA, GAMMA),
 }
 
+# Decision kind -> the field naming the index that enters gamma, for those that add one.
+_TO_GAMMA = {"to_upper": "i_bar", "at_ub": "i_bar", "exchange_to_upper": "j_bar"}
+
 
 def _factor_step(factor: FactorState, idx: int, direction: str, mhat, stats: Stats) -> None:
     before = factor.refresh_counter
@@ -365,26 +369,30 @@ def _widen_to_runs(labels: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
 class _BandedBars:
     """qbar, pbar and the first-ratio-test candidates of tridiagonal input.
 
-    ``x`` holds M_aa^{-1} [q + mug, p]_a, zero off alpha.  A pivot that
-    relabels indices lo..hi, and so moves ``mug`` only within one index
-    of them, changes ``x`` only on the alpha runs that meet [lo-1, hi+1]
-    and the bars only on those runs and one index beyond.  :meth:`update`
-    recomputes just that window, with the operations of
-    ``compute_bars(factor=None)`` in the same order, so the bars stay
-    bitwise equal to a full recomputation with the same ``mug``.  The
-    candidate arrays are rebuilt over all n only when the ratio threshold
-    moved.
+    ``xq`` and ``xp`` hold the two columns of M_aa^{-1} [q + mug, p]_a,
+    zero off alpha.  A pivot that relabels indices lo..hi, and so moves
+    ``mug`` only within one index of them, changes them only on the alpha
+    runs that meet [lo-1, hi+1] and the bars only on those runs and one
+    index beyond.  :meth:`update` recomputes just that window in Python
+    floats, with the operations of ``compute_bars(factor=None)`` in the
+    same order, so the bars stay bitwise equal to a full recomputation
+    with the same ``mug``: a window holds about five entries, too few to
+    repay the fixed cost of a numpy call.  The candidate arrays are
+    rebuilt over all n, in numpy, only when the ratio threshold moved.
     """
 
     def __init__(self, instance: QpInstance, p: np.ndarray, state: ParamState):
         n = instance.n
         self.d, self.e = instance.m.band()
         self.q, self.u, self.p, self.mug = instance.q, instance.u, p, state.mug
+        # The constant data again as Python floats, read entry by entry in the window.
+        self.dl, self.el, self.ql, self.pl, self.ul = (
+            v.tolist() for v in (self.d, self.e, self.q, p, self.u))
         self.labels = state.partition.labels
         self.tol_abs = TOL_PIVOT * instance.m.scale()
         # The engine owns qbar and pbar and updates them in place.
         self.qbar, self.pbar = state.qbar, state.pbar = np.empty(n), np.empty(n)
-        self.x = np.zeros((n, 2))
+        self.xq, self.xp = [0.0] * n, [0.0] * n
         self.cand_b, self.cand_a = np.empty(n), np.empty(n)
         self.threshold = np.nan
         # Counts for flops(), kept by update() and ratio_test(): entries the last
@@ -392,36 +400,69 @@ class _BandedBars:
         self.rebuilt = 0
         self.update(0, n - 1)
 
+    def _pivot(self, s: int) -> float:
+        """d[s], the pivot of a one-index run, tested as ``tridiag_run_solve`` tests it."""
+        if abs(self.dl[s]) <= self.tol_abs:
+            raise SingularPivot(f"diagonal pivot at index {s} below tolerance")
+        return self.dl[s]
+
     def update(self, lo: int, hi: int) -> None:
-        """Refresh x and the bars after a pivot that relabelled indices lo..hi."""
-        labels, x, d, e, n = self.labels, self.x, self.d, self.e, self.labels.size
-        a, b = _widen_to_runs(labels, max(lo - 1, 0), min(hi + 2, n))
-        x[a:b] = 0.0
-        for s, t in alpha_runs(a + np.flatnonzero(labels[a:b] == ALPHA)):
-            rhs = np.empty((t - s, 2))
-            np.add(self.q[s:t], self.mug[s:t], out=rhs[:, 0])
-            rhs[:, 1] = self.p[s:t]
-            x[s:t] = tridiag_run_solve(d, e, s, t, rhs, self.tol_abs)
-        lo, hi = max(a - 1, 0), min(b + 1, n)
-        # SymMatrix.matvec's order: d*x, then + e*x[+1], then + e*x[-1].
-        y = d[lo:hi, None] * x[lo:hi]
-        top, bot = min(hi, n - 1), max(lo, 1)
-        y[:top - lo] += e[lo:top, None] * x[lo + 1:top + 1]
-        y[bot - lo:] += e[bot - 1:hi - 1, None] * x[bot - 1:hi - 1]
-        basic = labels[lo:hi] == ALPHA
-        self.qbar[lo:hi] = np.where(basic, x[lo:hi, 0],
-                                    (self.q[lo:hi] + self.mug[lo:hi]) - y[:, 0])
-        self.pbar[lo:hi] = np.where(basic, x[lo:hi, 1], self.p[lo:hi] - y[:, 1])
-        self.solved, self.window = b - a, (lo, hi)
+        """Refresh xq, xp and the bars after a pivot that relabelled indices lo..hi."""
+        n = self.labels.size
+        lo, hi = max(lo - 1, 0), min(hi + 2, n)
+        a, b = _widen_to_runs(self.labels, lo, hi)
+        w0, w1 = max(a - 1, 0), min(b + 1, n)
+        labels, mug = self.labels[w0:w1].tolist(), self.mug[w0:w1].tolist()
+        d, e, q, p, xq, xp = self.dl, self.el, self.ql, self.pl, self.xq, self.xp
+        # The widening crossed alpha alone, so [lo, hi) holds every other
+        # index of [a, b); the alpha runs lie between them.
+        cuts = [i for i in range(lo, hi) if labels[i - w0] != ALPHA]
+        for i in cuts:
+            xq[i] = xp[i] = 0.0
+        for s, t in zip([a - 1] + cuts, cuts + [b]):
+            s += 1
+            if t - s == 1:
+                pivot = self._pivot(s)
+                xq[s], xp[s] = (q[s] + mug[s - w0]) / pivot, p[s] / pivot
+            elif t > s:
+                rhs = np.empty((t - s, 2))
+                np.add(self.q[s:t], self.mug[s:t], out=rhs[:, 0])
+                rhs[:, 1] = self.p[s:t]
+                xq[s:t], xp[s:t] = tridiag_run_solve(self.d, self.e, s, t, rhs,
+                                                     self.tol_abs).T.tolist()
+        # The bars are x on alpha.  Off alpha, SymMatrix.matvec's order:
+        # d*x, then + e*x[+1], then + e*x[-1].
+        qbar, pbar = xq[w0:w1], xp[w0:w1]
+        for i in ([a - 1] if a > 0 else []) + cuts + ([b] if b < n else []):
+            yq, yp = d[i] * xq[i], d[i] * xp[i]
+            if i < n - 1:
+                yq += e[i] * xq[i + 1]
+                yp += e[i] * xp[i + 1]
+            if i >= 1:
+                yq += e[i - 1] * xq[i - 1]
+                yp += e[i - 1] * xp[i - 1]
+            qbar[i - w0], pbar[i - w0] = (q[i] + mug[i - w0]) - yq, p[i] - yp
+        self.qbar[w0:w1], self.pbar[w0:w1] = qbar, pbar
+        self.solved, self.window, self.window_bars = b - a, (w0, w1), (labels, qbar, pbar)
 
     def ratio_test(self, tau_eps: float):
         """``ratio_test_tau`` on the current bars; candidates outside the window are reused."""
         pbar = self.pbar
         threshold = TOL_RATIO * max(float(pbar.max()), -float(pbar.min()))
-        lo, hi = self.window if threshold == self.threshold else (0, pbar.size)
-        self.threshold, self.rebuilt = threshold, hi - lo
-        self.cand_b[lo:hi], self.cand_a[lo:hi] = _ratio_candidates(
-            self.labels[lo:hi], self.qbar[lo:hi], pbar[lo:hi], self.u[lo:hi], threshold)
+        if threshold == self.threshold:
+            (lo, hi), (labels, qw, pw) = self.window, self.window_bars
+            # _ratio_candidates' quotients, entry by entry.
+            self.cand_b[lo:hi] = [-qb / pb if pb > threshold and label == BETA else -math.inf
+                                  for label, qb, pb in zip(labels, qw, pw)]
+            self.cand_a[lo:hi] = [-(ub + qb) / pb if pb > threshold and label == ALPHA
+                                  else -math.inf
+                                  for label, qb, pb, ub in zip(labels, qw, pw, self.ul[lo:hi])]
+            self.rebuilt = hi - lo
+        else:
+            self.cand_b, self.cand_a = _ratio_candidates(self.labels, self.qbar, pbar, self.u,
+                                                         threshold)
+            self.rebuilt = pbar.size
+        self.threshold = threshold
         return _select(self.cand_b, self.cand_a, tau_eps)
 
     def _border_runs(self, i: int):
@@ -431,18 +472,22 @@ class _BandedBars:
         nonzero right-hand side; yields ``(nb, s, t, y)`` for each such
         run [s, t) and its solution y.  Every other run of the solution is zero.
         """
-        labels, d, e = self.labels, self.d, self.e
+        labels = self.labels
         for nb in (i - 1, i + 1):
-            if 0 <= nb < labels.size and labels[nb] == ALPHA and e[min(nb, i)] != 0.0:
+            c = self.el[min(nb, i)] if 0 <= nb < labels.size else 0.0
+            if c != 0.0 and labels[nb] == ALPHA:
                 s, t = _widen_to_runs(labels, nb, nb + 1)
+                if t - s == 1:
+                    yield nb, s, t, [c / self._pivot(s)]
+                    continue
                 rhs = np.zeros((t - s, 1))
-                rhs[nb - s, 0] = e[min(nb, i)]
-                yield nb, s, t, tridiag_run_solve(d, e, s, t, rhs, self.tol_abs)[:, 0]
+                rhs[nb - s, 0] = c
+                yield nb, s, t, tridiag_run_solve(self.d, self.e, s, t, rhs, self.tol_abs)[:, 0]
 
     def border(self, i: int) -> tuple[None, float]:
         """(None, m_ii - M_{i,a} M_aa^{-1} M_{a,i}); :meth:`column` solves for the vector."""
-        return None, float(self.d[i] - sum(self.e[min(nb, i)] * y[nb - s]
-                                           for nb, s, _, y in self._border_runs(i)))
+        return None, float(self.dl[i] - sum(self.el[min(nb, i)] * y[nb - s]
+                                            for nb, s, _, y in self._border_runs(i)))
 
     def column(self, i: int, mhat: None) -> np.ndarray:
         """M_aa^{-1} M_{a,i} scattered into a length-n vector (zero off alpha)."""
@@ -586,8 +631,9 @@ def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
             callback(state, tau_new, decision)
         state = apply_pivot(state, decision)
         # gamma is monotone, so M @ (u on gamma) updates one column at a time.
-        for entered in {"to_upper": [decision.i_bar], "at_ub": [decision.i_bar],
-                        "exchange_to_upper": [decision.j_bar]}.get(decision.kind, []):
+        to_gamma = _TO_GAMMA.get(decision.kind)
+        if to_gamma is not None:
+            entered = getattr(decision, to_gamma)
             m.add_column(mug, entered, u[entered])
         if stats.pivots > cap:
             raise IterationCap(f"pivot count exceeded {cap} (3n cap); degeneracy anomaly")

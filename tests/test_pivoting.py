@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pppa import (FactorState, GenSpec, ParamState, Partition, PivotDecision,
                   QpInstance, Stats, SymMatrix, apply_pivot, compute_bars,
@@ -7,7 +11,7 @@ from pppa import (FactorState, GenSpec, ParamState, Partition, PivotDecision,
                   ratio_test_tau, recession_check, reductions, second_ratio_test,
                   solution_at_tau, solve_pd, solve_psd, solve_sbar)
 from pppa.errors import PreconditionViolated
-from pppa.pivoting import ALPHA, _BandedBars, _DenseBars
+from pppa.pivoting import ALPHA, BETA, GAMMA, _BandedBars, _DenseBars
 
 from helpers import (banded_family, dense_of_band, make_instance, objectives_match, random_pd,
                      random_sbar)
@@ -541,3 +545,72 @@ def test_banded_iteration_flops_count_one_window():
     fresh.ratio_test(0.0)
     assert bars.cand_b.tobytes() == fresh.cand_b.tobytes()
     assert bars.cand_a.tobytes() == fresh.cand_a.tobytes()
+
+
+@st.composite
+def _relabel_walks(draw):
+    """A tridiagonal instance, a start partition and steps that relabel one or two indices.
+
+    The diagonal dominates, so every M_aa is nonsingular; zero couplings
+    split alpha runs and some bounds are infinite.
+    """
+    n = draw(st.integers(1, 8))
+
+    def vector(size, *options):
+        return draw(st.lists(st.one_of(*options), min_size=size, max_size=size))
+
+    def floats(lo, hi):
+        return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+    # Entries below 1e-3 become zero: a subnormal p would overflow -qbar/pbar.
+    data = floats(-2.0, 2.0).map(lambda v: v if abs(v) >= 1e-3 else 0.0)
+    d = vector(n, floats(1.0, 4.0))
+    e = vector(n - 1, st.just(0.0), floats(-0.45, 0.45))
+    q, p = vector(n, data), vector(n, data)
+    u = vector(n, st.just(math.inf), floats(0.5, 3.0))
+    label, index = st.sampled_from([BETA, ALPHA, GAMMA]), st.integers(0, n - 1)
+    start = vector(n, label)
+    steps = draw(st.lists(st.one_of(st.tuples(index, label),
+                                    st.tuples(index, label, index, label)), max_size=8))
+    return d, e, q, p, u, start, steps
+
+
+class TestBandedBarsRelabel:
+    """_BandedBars after label rewrites the solver never forms: windows at
+    either end, runs over the whole range, split runs, exchanges."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_relabel_walks())
+    # One alpha run over the whole range, cut and rejoined at index 0.
+    @example(([2.0] * 5, [-0.4] * 4, [-1.0] * 5, [1.0] * 5, [1.0] * 5, [ALPHA] * 5,
+              [(0, BETA), (0, ALPHA), (4, GAMMA, 0, BETA)]))
+    # Every pbar <= threshold: no candidate, an optimal ratio test.
+    @example(([2.0] * 4, [0.3] * 3, [1.0] * 4, [-1.0] * 4, [math.inf] * 4, [BETA] * 4,
+              [(3, ALPHA), (0, ALPHA, 3, BETA)]))
+    def test_random_relabelings(self, walk):
+        d, e, q, p, u, start, steps = walk
+        inst = QpInstance(SymMatrix.from_banded(np.array(d), np.array(e)), q, u)
+        p, labels, mug = np.array(p), np.empty(len(d), dtype=np.int8), np.empty(len(d))
+        part = Partition(labels=labels)
+
+        def relabel(moves):
+            # An index with an infinite bound never reaches gamma on the solver path.
+            for i, lab in moves:
+                labels[i] = BETA if lab == GAMMA and math.isinf(u[i]) else lab
+            mug[:] = inst.m.matvec(np.where(labels == GAMMA, inst.u, 0.0))
+
+        def check():
+            qbar, pbar = compute_bars(inst, part, p, None, mug=mug)
+            assert bars.qbar.tobytes() == qbar.tobytes()
+            assert bars.pbar.tobytes() == pbar.tobytes()
+            assert bars.ratio_test(0.0) == ratio_test_tau(_state(part, qbar, pbar), inst.u)
+
+        relabel(enumerate(start))
+        bars = _BandedBars(inst, p, _state(part, [], [], mug=mug))
+        check()
+        for step in steps:
+            moves = list(zip(step[0::2], step[1::2]))
+            relabel(moves)
+            bars.refresh(PivotDecision(kind="from_lower", i_bar=moves[0][0],
+                                       j_bar=moves[1][0] if len(moves) > 1 else None))
+            check()
