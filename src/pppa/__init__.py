@@ -8,7 +8,7 @@ parametric solution path with principal pivots.
 
 from . import errors
 from .classify import (ClassReport, blockwise_dominance_vector,
-                       build_parametric_vector, classify,
+                       build_parametric_vector, class_level, classify,
                        find_dominance_vector, is_in_sbar_plus, is_sbar_nk,
                        is_z_matrix)
 from .factors import FactorState, factor_update

@@ -119,7 +119,7 @@ def _subsets_in_sbar_plus(m: SymMatrix, k: int) -> bool:
 
 @dataclass
 class ClassReport:
-    """Everything the routing logic needs to know about a matrix."""
+    """Every class fact about a matrix, as ``pppa classify`` prints it."""
 
     is_symmetric: bool
     is_z: bool
@@ -133,14 +133,30 @@ class ClassReport:
     p: np.ndarray | None
 
 
-def blockwise_dominance_vector(m) -> np.ndarray:
-    """Dominance vector assembled per irreducible block."""
+def blockwise_dominance_vector(m, blocks: list[np.ndarray]) -> np.ndarray:
+    """Dominance vector assembled over M's irreducible ``blocks``."""
     m = as_sym(m)
     d = np.empty(m.n)
     mbar = comparison_matrix(m)
-    for block in irreducible_components(m):
+    for block in blocks:
         d[block] = find_dominance_vector(mbar.submatrix(block))
     return d
+
+
+def class_level(m, k_max: int = 2) -> int | None:
+    """Smallest k <= ``k_max`` with M in the level-k class, or None; the psd
+    test and the subset loop run only when M is not comparison-psd."""
+    m = as_sym(m)
+    if is_in_sbar_plus(m):
+        return 0
+    if not is_psd(m):
+        return None
+    for k in range(1, k_max + 1):
+        if comb(m.n, min(k, m.n)) > SUBSET_GUARD:
+            return None
+        if _subsets_in_sbar_plus(m, k):
+            return k
+    return None
 
 
 def classify(m, k_max: int = 2) -> ClassReport:
@@ -154,21 +170,11 @@ def classify(m, k_max: int = 2) -> ClassReport:
     m = as_sym(m)
     blocks = irreducible_components(m)
     psd, pd = definiteness(m)
-    sbar = is_in_sbar_plus(m)
-    k_level: int | None = None
-    if sbar:
-        k_level = 0
-    elif psd:
-        for k in range(1, k_max + 1):
-            if comb(m.n, min(k, m.n)) > SUBSET_GUARD:
-                break
-            if _subsets_in_sbar_plus(m, k):
-                k_level = k
-                break
+    k_level = class_level(m, k_max)
     d = p = None
-    if sbar:
+    if k_level == 0:
         try:
-            d = blockwise_dominance_vector(m)
+            d = blockwise_dominance_vector(m, blocks)
             p = build_parametric_vector(m, d)
         except NotApplicable:
             d = p = None
@@ -177,7 +183,7 @@ def classify(m, k_max: int = 2) -> ClassReport:
         is_z=is_z_matrix(m),
         is_psd=psd,
         is_pd=pd,
-        is_sbar_plus=sbar,
+        is_sbar_plus=k_level == 0,
         is_irreducible=len(blocks) == 1,
         blocks=blocks,
         k_level=k_level,

@@ -16,11 +16,12 @@ import time
 
 import numpy as np
 
-from .classify import classify
+from .classify import class_level, classify, is_in_sbar_plus
 from .errors import PppaError
 from .generate import GENERATOR_ID, GenSpec, generate
 from .oracle import ORACLE_MAX_N, enumerate_active_sets, kkt_residual, recession_check
-from .pivoting import OPTIMAL, UNBOUNDED, QpInstance, SolveOutcome, solve_pd
+from .matrices import is_pd, is_psd
+from .pivoting import OPTIMAL, UNBOUNDED, QpInstance, SolveOutcome
 from .qpb import load_qpb, save_qpb
 from .reductions import solve_sbar, solve_sbar_nk
 from .tolerances import default_kkt_tol
@@ -42,10 +43,10 @@ def _fmt(v: float) -> str:
 
 
 def _method(text: str):
-    """``(name, level)``: the class level a method solves at; ``auto`` and ``pd`` carry None."""
+    """``(name, level)``: the class level a method solves at; ``auto`` carries None."""
     if re.fullmatch(r"sbark=\d+", text):
         return ("sbark", int(text.split("=")[1]))
-    levels = {"auto": None, "pd": None, "psd": 0, "sbar": 0, "sbar1": 1}
+    levels = {"auto": None, "pd": 0, "psd": 0, "sbar": 0, "sbar1": 1}
     if text in levels:
         return (text, levels[text])
     raise argparse.ArgumentTypeError(
@@ -54,19 +55,15 @@ def _method(text: str):
 
 def _solve_with_method(instance: QpInstance, method) -> SolveOutcome:
     name, k = method
-    if name == "pd":
-        report = classify(instance.m, k_max=0)
-        if not (report.is_pd and report.is_sbar_plus and report.p is not None):
-            raise PppaError("method pd requires a positive definite comparison-psd matrix")
-        return solve_pd(instance, report.p)
+    m = instance.m
+    if name == "pd" and not (is_pd(m) and is_in_sbar_plus(m)):
+        raise PppaError("method pd requires a positive definite comparison-psd matrix")
     if name == "auto":
-        # Route by the smallest verified class level.
-        report = classify(instance.m, k_max=2)
-        k = report.k_level
+        # Route by the smallest verified class level; None means not comparison-psd either.
+        k = class_level(m, k_max=2)
         if k is None:
             raise PppaError("classification_failed: matrix is outside the supported classes "
-                            f"(psd={str(report.is_psd).lower()}, comparison_psd="
-                            f"{str(report.is_sbar_plus).lower()})")
+                            f"(psd={_bool(is_psd(m))}, comparison_psd=false)")
     return solve_sbar_nk(instance, k, check=name == "psd")
 
 

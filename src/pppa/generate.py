@@ -26,7 +26,7 @@ import numpy as np
 
 from .classify import is_in_sbar_plus, is_sbar_nk
 from .errors import GenerationFailed
-from .matrices import SymMatrix, is_psd
+from .matrices import SymMatrix
 from .pivoting import QpInstance
 
 GENERATOR_ID = "pcg64-rowmajor-v1"
@@ -127,7 +127,7 @@ def gen_sbar_nk(spec: GenSpec, attempts: int = 100) -> QpInstance:
             a = a0 + eps * np.outer(v, v)
             m = SymMatrix.from_dense(a)
             if not is_in_sbar_plus(m):
-                if is_psd(m) and is_sbar_nk(m, spec.k):
+                if is_sbar_nk(m, spec.k):
                     return QpInstance(m, base.q, base.u)
                 break
             eps *= 2.0

@@ -553,9 +553,10 @@ def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
               callback=None, scale: float | None = None) -> SolveOutcome:
     """Streamlined pivoting for psd M with positive diagonal.
 
-    ``p`` must be a valid parametric direction (nonnegative under the
-    class construction) with q + tau0 p >= 0 for some tau0 > 0; callers
-    run the reduction pipeline first when that fails.  ``scale``
+    ``p`` must be the class construction's (M + comparison(M)) d / 2, with
+    q + tau0 p >= 0 for some tau0 > 0 (callers reduce first when that fails):
+    another nonnegative p can end at a wrong optimum, as p = 10 + |q| does on
+    ``tests/helpers.py::banded_family()[372]``.  ``scale``
     anchors the zero/pivot thresholds (reduced problems pass the
     original problem's scale).  ``callback(state, tau_new, decision)``
     runs before each pivot and once at the end with ``decision=None``;

@@ -305,18 +305,8 @@ def _resolve_sbar(instance: QpInstance, anchor: float) -> SolveOutcome:
 
 
 def solve_sbar(instance: QpInstance, *, check: bool = True) -> SolveOutcome:
-    """Resolve the QP for comparison-psd M (verified unless ``check=False``).
-
-    Decomposes into irreducible blocks, preprocesses and reduces until
-    the parametric start condition holds, runs the pivoting engine per
-    block, and lifts everything back to the original coordinates.
-    """
-    if check and not is_in_sbar_plus(instance.m):
-        raise ClassificationFailed("comparison matrix is not positive semidefinite")
-    try:
-        return _finish(instance, _resolve_sbar(instance, instance.m.scale()))
-    except NotApplicable as exc:
-        raise ClassificationFailed(str(exc)) from exc
+    """Driver for comparison-psd M (verified unless ``check=False``): :func:`solve_sbar_nk` at k=0."""
+    return solve_sbar_nk(instance, 0, check=check)
 
 
 # ---------------------------------------------------------------------------
@@ -561,21 +551,26 @@ def solve_sbar_n1(instance: QpInstance, *, check: bool = False) -> SolveOutcome:
 def solve_sbar_nk(instance: QpInstance, k: int, *, check: bool = False) -> SolveOutcome:
     """Recursive driver for the k-weakly quasi-diagonally dominant class.
 
-    Every irreducible block is at level k or below.  A comparison-psd
-    block goes to the pivoting driver; any other block fixes one
-    variable at each bound and solves those subproblems one level down,
-    where k=0 is :func:`solve_sbar`.
+    At k <= 0 M is comparison-psd and goes whole to the pivoting driver.
+    At k >= 1 every irreducible block is at level k or below: a
+    comparison-psd block goes to the pivoting driver, and any other block
+    fixes one variable at each bound and solves those subproblems one
+    level down.
     """
     if k > K_CAP:
         raise RecursionCapExceeded(f"k={k} exceeds the recursion cap {K_CAP}")
-    if k <= 0:
-        return solve_sbar(instance, check=check)
-    if check and not is_sbar_nk(instance.m, k):
-        raise ClassificationFailed(f"matrix is not in the k={k} weakly dominant class")
+    if check and not is_sbar_nk(instance.m, max(k, 0)):
+        raise ClassificationFailed("comparison matrix is not positive semidefinite" if k <= 0
+                                   else f"matrix is not in the k={k} weakly dominant class")
 
     def solve_block(block: QpInstance) -> SolveOutcome:
         if is_in_sbar_plus(block.m):
-            return solve_sbar(block, check=False)
+            return _resolve_sbar(block, block.m.scale())
         return _fixing_driver(block, lambda sub: solve_sbar_nk(sub, k - 1))
 
-    return _finish(instance, _solve_blocks(instance, irreducible_components(instance.m), solve_block))
+    try:
+        if k <= 0:
+            return _finish(instance, _resolve_sbar(instance, instance.m.scale()))
+        return _finish(instance, _solve_blocks(instance, irreducible_components(instance.m), solve_block))
+    except NotApplicable as exc:
+        raise ClassificationFailed(str(exc)) from exc

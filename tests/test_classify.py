@@ -3,11 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from pppa import (SymMatrix, build_parametric_vector, classify,
+from pppa import (SymMatrix, build_parametric_vector, class_level, classify,
                   comparison_matrix, find_dominance_vector, irreducible_components,
                   is_in_sbar_plus, is_psd, is_sbar_nk, is_z_matrix)
 from pppa.errors import NegativeComponent, NotApplicable, TooLarge
-from pppa.generate import GenSpec, gen_tridiagonal
+from pppa.generate import GenSpec, gen_sbar_nk, gen_sbar_random, gen_tridiagonal
 
 from helpers import random_sbar, random_symmetric, random_z_psd
 
@@ -266,3 +266,34 @@ class TestClassify:
         assert not rep.is_irreducible and len(rep.blocks) == 2
         assert rep.d is not None
         assert comparison_matrix(m).matvec(rep.d).min() >= -1e-9
+
+
+class TestClassLevel:
+    """class_level(m, k) is the k_level of classify(m, k)."""
+
+    @staticmethod
+    def _matrices():
+        yield gen_sbar_random(GenSpec(family="sbar_random", n=12, seed=1)).m
+        yield gen_tridiagonal(GenSpec(family="tridiagonal", n=12, seed=2)).m
+        for k in (1, 2):
+            yield gen_sbar_nk(GenSpec(family="sbar_nk", n=8, rho=0.6, seed=3, k=k)).m
+        for c in (0.45, 0.9):
+            a = np.full((4, 4), c)
+            np.fill_diagonal(a, 1.0)
+            yield SymMatrix.from_dense(a)
+        yield SymMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
+        mix = np.zeros((9, 9))
+        mix[:4, :4] = np.full((4, 4), 0.45) + 0.55 * np.eye(4)
+        mix[4:6, 4:6] = [[1.0, -1.0], [-1.0, 1.0]]
+        mix[6:, 6:] = np.full((3, 3), 0.3) + 0.7 * np.eye(3)
+        yield SymMatrix.from_dense(mix)
+
+    def test_matches_classify(self):
+        levels = []
+        for m in self._matrices():
+            for k in (0, 1, 2):
+                assert class_level(m, k) == classify(m, k).k_level
+            levels.append(class_level(m))
+        # The mix has no level: removing k indices outside its level-1 block
+        # leaves that block's comparison matrix indefinite.
+        assert levels == [0, 0, 1, 2, 1, 2, None, None]

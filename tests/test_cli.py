@@ -245,3 +245,36 @@ def test_tridiagonal_input_stays_banded(tmp_path, capsys, monkeypatch):
     assert main(["solve", str(path), "--method", "auto"]) == 0
     assert "status=optimal" in capsys.readouterr().out
     assert loaded[0][0].m._dense is None
+
+
+METHODS = ("auto", "pd", "psd", "sbar", "sbar1", "sbark=2")
+
+
+def test_solve_builds_no_class_report(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "r.qpb"
+    assert main(["generate", "--family", "sbar_random", "--n", "30", "--seed", "3",
+                 "--out", str(path)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve route built a class report")
+
+    monkeypatch.setattr(cli, "classify", refuse)
+    for method in METHODS:
+        assert main(["solve", str(path), "--method", method]) == 0, method
+    assert capsys.readouterr().out.count("status=optimal") == len(METHODS)
+
+
+def test_pd_solves_a_near_singular_matrix(tmp_path):
+    # Positive definite by 1e-9, so d reads as the kernel vector (1, 1) and
+    # p = (0, 2e-9): p_0 vanishes where q_0 < 0, and the start needs a reduction.
+    inst = QpInstance(SymMatrix.from_dense([[1 + 1e-9, -1.0], [-1.0, 1 + 1e-9]]),
+                      [-1.0, 0.5], [2.0, 2.0])
+    path = tmp_path / "ns.qpb"
+    save_qpb(path, inst)
+    answers = []
+    for method in ("pd", "sbar"):
+        dest = tmp_path / f"{method}.txt"
+        assert main(["solve", str(path), "--method", method, "--out", str(dest)]) == 0
+        answers.append(dest.read_bytes())
+    assert answers[0] == answers[1]
+    assert np.array([float(v) for v in answers[0].split()]) == pytest.approx([2.0, 1.4999999985])

@@ -10,7 +10,7 @@ from pppa import (FactorState, GenSpec, ParamState, Partition, PivotDecision,
                   enumerate_active_sets, gen_sbar_random, gen_tridiagonal, kkt_residual,
                   ratio_test_tau, recession_check, reductions, second_ratio_test,
                   solution_at_tau, solve_pd, solve_psd, solve_sbar)
-from pppa.errors import PreconditionViolated
+from pppa.errors import PppaError, PreconditionViolated
 from pppa.pivoting import ALPHA, BETA, GAMMA, _BandedBars, _DenseBars
 
 from helpers import (banded_family, dense_of_band, make_instance, objectives_match, random_pd,
@@ -450,6 +450,22 @@ class TestBandedAgainstDense:
         assert kinds == {"from_lower", "to_upper", "at_ub", "exchange_to_lower",
                          "exchange_to_upper"}
         assert unbounded >= 8
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="solve_psd checks neither its direction nor the KKT residual")
+def test_solve_psd_with_a_foreign_direction_is_not_a_wrong_optimum():
+    # p = 10 + |q| is nonnegative with q + tau0 p >= 0, but it is not the
+    # class construction's direction: solve_psd returns objective 147.53 with
+    # KKT residual 16.4, where solve_sbar finds -71.20.
+    d, e, q, u, p = banded_family()[372]
+    inst = QpInstance(SymMatrix.from_banded(d, e), q, u)
+    assert objectives_match(solve_sbar(inst).objective, -71.19538371335557)
+    try:
+        out = solve_psd(inst, p)
+    except PppaError:
+        return
+    assert out.status != "optimal" or kkt_residual(inst, out.x) <= 1e-8 * (1 + np.max(np.abs(q)))
 
 
 def _bars_watch(instance, p, seen):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from pppa import (QpInstance, SymMatrix, build_parametric_vector,
+from pppa import (QpInstance, SymMatrix, build_parametric_vector, class_level,
                   comparison_matrix, enumerate_active_sets,
                   find_dominance_vector, flip_variable, fm_feasibility_2var,
                   interior_solution, is_in_sbar_plus, is_pd, kkt_residual,
                   preprocess_zero_diag, recession_check, reduce_nonpositive_row,
                   solve_sbar, solve_sbar_n1, solve_sbar_nk)
-from pppa.errors import (ClassificationFailed, InvariantViolation,
+from pppa.errors import (ClassificationFailed, InvariantViolation, PppaError,
                          PreconditionViolated, RecursionCapExceeded)
 from pppa.generate import GenSpec, gen_sbar_nk, gen_sbar_random
 from pppa.reductions import DropStep, FlipStep, ReductionTrace
@@ -460,3 +460,39 @@ class TestInteriorSolution:
         inst = make_instance(a, -a @ rng.uniform(0.2, 0.8, n), np.full(n, 2.0))
         assert interior_solution(inst) is None
 
+
+
+def _frustrated_cycle(n):
+    """Signed n-cycle with one frustrated loop, shifted to just above psd.
+
+    The random diagonal puts lambda_min of M and of its comparison matrix
+    both within about 1e-13 of zero at n >= 50: the boundary of level 0.
+    """
+    rng = np.random.default_rng(n)
+    w = rng.uniform(0.5, 1.5, n)
+    s = rng.choice([-1.0, 1.0], n)
+    if np.prod(-s) > 0:
+        s[0] = -s[0]
+    a = np.zeros((n, n))
+    nxt = (np.arange(n) + 1) % n
+    a[np.arange(n), nxt] = a[nxt, np.arange(n)] = s * w
+    b = a + np.diag(rng.uniform(0.0, 0.2, n))
+    lm = np.linalg.eigvalsh(b)[0]
+    lc = np.linalg.eigvalsh(comparison_matrix(b).full())[0]
+    m = b + (-lm + 1e-3 * (lm - lc)) * np.eye(n)
+    return make_instance(m, np.random.default_rng(n).uniform(-1.0, 1.0, n), np.full(n, 2.0))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a wrong optimal answer at the boundary of level 0; cause not known yet")
+def test_frustrated_cycle_is_solved_or_refused():
+    # Solved at its class level (0), this returns objective -2.36313 with
+    # KKT residual 0.196; the true optimum is -2.36758.
+    inst = _frustrated_cycle(100)
+    k = class_level(inst.m)
+    assert k == 0
+    try:
+        out = solve_sbar_nk(inst, k)
+    except PppaError:
+        return
+    assert out.status != "optimal" or kkt_residual(inst, out.x) <= 1e-8 * (1 + np.max(np.abs(inst.q)))
