@@ -26,13 +26,12 @@ def is_z_matrix(m) -> bool:
     return as_sym(m).is_z()
 
 
-def is_in_sbar_plus(m, tol: float = TOL_PSD) -> bool:
+def is_in_sbar_plus(m) -> bool:
     """True iff the comparison matrix of M is positive semidefinite."""
-    return is_psd(comparison_matrix(m), tol)
+    return is_psd(comparison_matrix(m))
 
 
-def find_dominance_vector(mbar, tol: float = TOL_KERNEL,
-                          scale: float | None = None) -> np.ndarray:
+def find_dominance_vector(mbar, scale: float | None = None) -> np.ndarray:
     """Positive d with mbar @ d >= 0 for an irreducible psd Z-matrix.
 
     Pins d_n = 1 and solves the first n-1 equations of mbar @ d = 0.
@@ -59,7 +58,7 @@ def find_dominance_vector(mbar, tol: float = TOL_KERNEL,
         raise NotApplicable(f"leading principal block is not positive definite: {exc}") from exc
 
     residual = float(np.max(np.abs(mbar.matvec(d))))
-    if residual <= tol * scale * max(1.0, float(np.max(np.abs(d)))):
+    if residual <= TOL_KERNEL * scale * max(1.0, float(np.max(np.abs(d)))):
         if np.min(d) <= TOL_D_POSITIVE:
             raise NotApplicable("kernel vector of the comparison matrix is not positive")
         return d
@@ -74,8 +73,7 @@ def find_dominance_vector(mbar, tol: float = TOL_KERNEL,
     return d
 
 
-def build_parametric_vector(m, d: np.ndarray, tol: float = TOL_PSD,
-                            scale: float | None = None) -> np.ndarray:
+def build_parametric_vector(m, d: np.ndarray, scale: float | None = None) -> np.ndarray:
     """p = (M + comparison(M)) @ d / 2; nonnegative for valid (M, d)."""
     m = as_sym(m)
     d = np.asarray(d, dtype=float)
@@ -84,7 +82,7 @@ def build_parametric_vector(m, d: np.ndarray, tol: float = TOL_PSD,
     mbar = comparison_matrix(m)
     if scale is None:
         scale = m.scale()
-    slack = tol * scale * float(np.max(d, initial=0.0))
+    slack = TOL_PSD * scale * float(np.max(d, initial=0.0))
     dominance = mbar.matvec(d)
     if dominance.size and float(np.min(dominance)) < -slack:
         raise NotApplicable("comparison(M) @ d has negative components; d is not a dominance vector")

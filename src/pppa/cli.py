@@ -16,14 +16,14 @@ import time
 
 import numpy as np
 
-from .classify import class_level, classify, is_in_sbar_plus
+from .classify import classify, is_in_sbar_plus
 from .errors import PppaError
 from .generate import GENERATOR_ID, GenSpec, generate
 from .oracle import ORACLE_MAX_N, enumerate_active_sets, kkt_residual, recession_check
-from .matrices import is_pd, is_psd
+from .matrices import is_pd
 from .pivoting import OPTIMAL, UNBOUNDED, QpInstance, SolveOutcome
 from .qpb import load_qpb, save_qpb
-from .reductions import solve_sbar, solve_sbar_nk
+from .reductions import solve_sbar_nk
 from .tolerances import default_kkt_tol
 
 EXIT_OPTIMAL = 0
@@ -43,10 +43,10 @@ def _fmt(v: float) -> str:
 
 
 def _method(text: str):
-    """``(name, level)``: the class level a method solves at; ``auto`` carries None."""
+    """``(name, level)``: the class level a method solves at."""
     if re.fullmatch(r"sbark=\d+", text):
         return ("sbark", int(text.split("=")[1]))
-    levels = {"auto": None, "pd": 0, "psd": 0, "sbar": 0, "sbar1": 1}
+    levels = {"auto": 2, "pd": 0, "psd": 0, "sbar": 0, "sbar1": 1}
     if text in levels:
         return (text, levels[text])
     raise argparse.ArgumentTypeError(
@@ -58,13 +58,7 @@ def _solve_with_method(instance: QpInstance, method) -> SolveOutcome:
     m = instance.m
     if name == "pd" and not (is_pd(m) and is_in_sbar_plus(m)):
         raise PppaError("method pd requires a positive definite comparison-psd matrix")
-    if name == "auto":
-        # Route by the smallest verified class level; None means not comparison-psd either.
-        k = class_level(m, k_max=2)
-        if k is None:
-            raise PppaError("classification_failed: matrix is outside the supported classes "
-                            f"(psd={_bool(is_psd(m))}, comparison_psd=false)")
-    return solve_sbar_nk(instance, k, check=name == "psd")
+    return solve_sbar_nk(instance, k, check=name in ("auto", "psd"))
 
 
 def _outcome_line(out: SolveOutcome) -> str:
@@ -185,7 +179,7 @@ def _bench_task(task) -> dict:
     spec = GenSpec(family=family, n=n, rho=rho, seed=seed, k=k)
     instance = generate(spec)
     start = time.perf_counter()
-    out = solve_sbar(instance, check=False)
+    out = solve_sbar_nk(instance, k if family == "sbar_nk" else 0)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     residual = ""
     if out.status == OPTIMAL:
@@ -235,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a QPB instance")
     p.add_argument("file")
-    p.add_argument("--method", type=_method, default=("auto", None))
+    p.add_argument("--method", type=_method, default="auto")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", default=None, help="write the solution vector to this file")
     p.set_defaults(func=_cmd_solve)
@@ -256,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="solve and check KKT residual / certificates")
     p.add_argument("file")
-    p.add_argument("--method", type=_method, default=("auto", None))
+    p.add_argument("--method", type=_method, default="auto")
     p.add_argument("--oracle", action="store_true",
                    help=f"cross-check against the enumeration oracle (n <= {ORACLE_MAX_N})")
     p.add_argument("--tol", type=float, default=None)

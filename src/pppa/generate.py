@@ -31,6 +31,7 @@ from .pivoting import QpInstance
 
 GENERATOR_ID = "pcg64-rowmajor-v1"
 FAMILIES = ("sbar_random", "tridiagonal", "sbar_nk")
+SBAR_NK_ATTEMPTS = 100
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def gen_tridiagonal(spec: GenSpec) -> QpInstance:
     return QpInstance(SymMatrix.from_banded(diag, sup), q, u)
 
 
-def gen_sbar_nk(spec: GenSpec, attempts: int = 100) -> QpInstance:
+def gen_sbar_nk(spec: GenSpec) -> QpInstance:
     """Planted instance beyond the comparison-psd class at level k.
 
     Adds an increasing rank-one bump eps * v v' with mixed-sign v until
@@ -113,7 +114,7 @@ def gen_sbar_nk(spec: GenSpec, attempts: int = 100) -> QpInstance:
         return gen_sbar_random(spec)
     if spec.n > 12:
         raise GenerationFailed("planted generation verifies membership exactly; use n <= 12")
-    for attempt in range(attempts):
+    for attempt in range(SBAR_NK_ATTEMPTS):
         sub = GenSpec(family="sbar_random", n=spec.n, rho=spec.rho,
                       seed=spec.seed + 7919 * attempt)
         base = gen_sbar_random(sub)
@@ -131,7 +132,7 @@ def gen_sbar_nk(spec: GenSpec, attempts: int = 100) -> QpInstance:
                     return QpInstance(m, base.q, base.u)
                 break
             eps *= 2.0
-    raise GenerationFailed(f"no level-{spec.k} instance found in {attempts} attempts "
+    raise GenerationFailed(f"no level-{spec.k} instance found in {SBAR_NK_ATTEMPTS} attempts "
                            f"for seed {spec.seed}; retry with a different seed")
 
 

@@ -298,7 +298,7 @@ def _banded_pd(diag: np.ndarray, sub: np.ndarray, tol_abs: float) -> bool:
 
 
 def definiteness(m, psd_tol: float = TOL_PSD, pd_tol: float = TOL_PIVOT) -> tuple[bool, bool]:
-    """``(is_psd(m, psd_tol), is_pd(m, pd_tol))`` from one factorization.
+    """The psd and pd verdicts at ``psd_tol`` and ``pd_tol`` from one factorization.
 
     Dense input is factored once, stopped at the smaller threshold.
     The psd test cuts that factor at its first pivot ``<= psd_tol *
@@ -323,18 +323,18 @@ def definiteness(m, psd_tol: float = TOL_PSD, pd_tol: float = TOL_PIVOT) -> tupl
     return psd, pd
 
 
-def is_psd(m, tol: float = TOL_PSD) -> bool:
+def is_psd(m) -> bool:
     """Positive semidefiniteness via diagonal-pivoted Cholesky.
 
-    Elimination stops at the first pivot ``<= tol * scale(M)``; the
+    Elimination stops at the first pivot ``<= TOL_PSD * scale(M)``; the
     block left there must be negligibly small.
     """
-    return definiteness(m, tol, tol)[0]
+    return definiteness(m, TOL_PSD, TOL_PSD)[0]
 
 
-def is_pd(m, tol: float = TOL_PIVOT) -> bool:
-    """Strict positive definiteness: pivoted Cholesky completes with all pivots above tol*scale."""
-    return definiteness(m, tol, tol)[1]
+def is_pd(m) -> bool:
+    """Strict positive definiteness: pivoted Cholesky completes with all pivots above TOL_PIVOT*scale."""
+    return definiteness(m)[1]
 
 
 def _check_block_nonsingular(maa: np.ndarray, scale: float) -> None:
@@ -432,7 +432,7 @@ def tridiag_run_solve(d: np.ndarray, e: np.ndarray, s: int, t: int, rhs: np.ndar
     return sol
 
 
-def tridiag_solve(m, alpha, rhs, tol: float = TOL_PIVOT) -> np.ndarray:
+def tridiag_solve(m, alpha, rhs) -> np.ndarray:
     """Solve M_aa y = rhs_a for tridiagonal M in O(n).
 
     ``alpha`` must be sorted; it splits into contiguous runs and each
@@ -449,7 +449,7 @@ def tridiag_solve(m, alpha, rhs, tol: float = TOL_PIVOT) -> np.ndarray:
     cols = rhs.reshape(m.n, -1)
     out = np.empty((alpha.size, cols.shape[1]))
     d, e = m.band()
-    tol_abs = tol * m.scale()
+    tol_abs = TOL_PIVOT * m.scale()
     pos = 0
     for s, t in alpha_runs(alpha):
         out[pos:pos + t - s] = tridiag_run_solve(d, e, s, t, cols[s:t], tol_abs)

@@ -78,7 +78,7 @@ def recession_check(instance: QpInstance, ray: Ray | np.ndarray, tol: float = TO
     return descent < -tol * (1.0 + float(np.max(np.abs(instance.q), initial=0.0)))
 
 
-def find_recession_direction(instance: QpInstance, tol: float = TOL_PSD) -> np.ndarray | None:
+def find_recession_direction(instance: QpInstance) -> np.ndarray | None:
     """Search the kernel of the unbounded-coordinate block for a descent ray.
 
     Sufficient for convex QPs over a box: any direction of unbounded
@@ -91,7 +91,7 @@ def find_recession_direction(instance: QpInstance, tol: float = TOL_PSD) -> np.n
     a = instance.m.full()[np.ix_(free, free)]
     scale = max(float(np.max(np.abs(np.diagonal(a)), initial=0.0)), 1e-30)
     vals, vecs = np.linalg.eigh(a)
-    kernel = vecs[:, np.abs(vals) <= max(tol * scale, TOL_KERNEL_FLOOR)]
+    kernel = vecs[:, np.abs(vals) <= max(TOL_PSD * scale, TOL_KERNEL_FLOOR)]
     if kernel.shape[1] == 0:
         return None
     # Imported here, its one use: at module level it cost every `pppa` import
@@ -108,14 +108,14 @@ def find_recession_direction(instance: QpInstance, tol: float = TOL_PSD) -> np.n
     if not res.success:
         return None
     d_free = kernel @ res.x
-    if float(qf @ d_free) >= -tol * (1.0 + float(np.max(np.abs(instance.q), initial=0.0))):
+    if float(qf @ d_free) >= -TOL_PSD * (1.0 + float(np.max(np.abs(instance.q), initial=0.0))):
         return None
     d = np.zeros(instance.n)
     d[free] = np.maximum(d_free, 0.0)
     return d / float(np.max(d))
 
 
-def enumerate_active_sets(instance: QpInstance, tol: float | None = None) -> SolveOutcome:
+def enumerate_active_sets(instance: QpInstance) -> SolveOutcome:
     """Brute-force reference solve for n <= 10.
 
     Tries all 3^n lower/upper/free assignments, solving each free block
@@ -132,9 +132,7 @@ def enumerate_active_sets(instance: QpInstance, tol: float | None = None) -> Sol
     a = instance.m.full()
     q, u = instance.q, instance.u
     qmax = float(np.max(np.abs(q), initial=0.0))
-    scale = instance.m.scale()
-    if tol is None:
-        tol = 1e-9 * (1.0 + qmax + scale)
+    tol = 1e-9 * (1.0 + qmax + instance.m.scale())
 
     options = [("lower", "free") if not np.isfinite(u[i]) else ("lower", "upper", "free")
                for i in range(n)]

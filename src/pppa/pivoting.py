@@ -549,8 +549,15 @@ class _DenseBars:
         return 4 * n * k + 4 * k * k + 8 * n
 
 
-def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
-              callback=None, scale: float | None = None) -> SolveOutcome:
+def blocked_start(p: np.ndarray, q: np.ndarray, scale: float) -> np.ndarray:
+    """Indices where p_i ~ 0 while q_i < 0, so no tau0 > 0 gives q + tau0*p >= 0."""
+    p_tol = TOL_PSD * max(float(np.max(np.abs(p), initial=0.0)), scale)
+    q_tol = TOL_PSD * (1.0 + float(np.max(np.abs(q), initial=0.0)))
+    return np.flatnonzero((p <= p_tol) & (q < -q_tol))
+
+
+def solve_psd(instance: QpInstance, p, *, callback=None,
+              scale: float | None = None) -> SolveOutcome:
     """Streamlined pivoting for psd M with positive diagonal.
 
     ``p`` must be the class construction's (M + comparison(M)) d / 2, with
@@ -574,11 +581,9 @@ def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
     diag = instance.m.diagonal()
     if float(np.min(diag)) <= TOL_PIVOT * scale:
         raise PreconditionViolated("matrix has a nonpositive diagonal entry; run zero-diagonal preprocessing first")
-    p_tol = TOL_PSD * max(float(np.max(np.abs(p), initial=0.0)), scale)
-    q_tol = TOL_PSD * (1.0 + float(np.max(np.abs(q), initial=0.0)))
-    blocked = (p <= p_tol) & (q < -q_tol)
-    if np.any(blocked):
-        i = int(np.flatnonzero(blocked)[0])
+    blocked = blocked_start(p, q, scale)
+    if blocked.size:
+        i = int(blocked[0])
         raise PreconditionViolated(
             f"no tau0 > 0 with q + tau0*p >= 0: p[{i}] ~ 0 while q[{i}] = {q[i]:.6g} < 0")
 
@@ -586,7 +591,7 @@ def solve_psd(instance: QpInstance, p, *, max_pivots: int | None = None,
     state = ParamState(partition=Partition.initial(n), qbar=None, pbar=None, factor=None,
                        stats=stats, mug=mug)
     labels = state.partition.labels
-    cap = max_pivots if max_pivots is not None else max(3 * n, 4)
+    cap = max(3 * n, 4)
     tau_eps = None
     engine = (_BandedBars if m.tridiagonal else _DenseBars)(instance, p, state)
 

@@ -7,11 +7,11 @@ linear term) until the pivoting engine applies.  Every transformation
 is logged as a trace step so solutions and recession rays of the
 reduced problem lift back to the original coordinates.
 
-The level-k driver solves each irreducible block on its own: a
-comparison-psd block goes to the pivoting driver, any other block fixes
-one variable at each bound, solves the reduced problems one level down,
-tests the bound certificates, and finishes with a two-variable linear
-feasibility check for the interior case.
+The level-k driver splits M into irreducible blocks and classifies each
+block once: a comparison-psd block goes to the pivoting driver, any
+other block fixes one variable at each bound, solves the reduced
+problems one level down, tests the bound certificates, and finishes
+with a two-variable linear feasibility check for the interior case.
 """
 
 from __future__ import annotations
@@ -21,17 +21,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .classify import (build_parametric_vector, find_dominance_vector,
-                       is_in_sbar_plus, is_sbar_nk)
+from .classify import (build_parametric_vector, class_level, find_dominance_vector,
+                       is_in_sbar_plus)
 from .errors import (ClassificationFailed, InvariantViolation, NotApplicable,
                      PreconditionViolated, RecursionCapExceeded)
 from .matrices import (SymMatrix, as_sym, comparison_matrix,
                        irreducible_components, _pivoted_cholesky)
 from .oracle import find_recession_direction
 from .pivoting import (OPTIMAL, UNBOUNDED, QpInstance, Ray, SolveOutcome,
-                       Stats, solve_psd)
-from .tolerances import (TOL_FM, TOL_KKT, TOL_LIFT_RAY, TOL_PIVOT,
-                         TOL_PSD, TOL_ZERO_ROW)
+                       Stats, blocked_start, solve_psd)
+from .tolerances import TOL_FM, TOL_KKT, TOL_LIFT_RAY, TOL_PIVOT, TOL_ZERO_ROW
 
 K_CAP = 3
 
@@ -192,7 +191,7 @@ def preprocess_zero_diag(instance: QpInstance, scale: float | None = None):
 
 def reduce_nonpositive_row(instance: QpInstance, p: np.ndarray, i: int,
                            scale: float | None = None):
-    """One blocked-start reduction at index i (p_i ~ 0, q_i < 0, m_ii > 0).
+    """One blocked-start reduction at an index i of :func:`blocked_start` with m_ii > 0.
 
     Without an upper bound the variable is eliminated through its
     stationarity equation (Schur complement); with a finite bound the
@@ -203,13 +202,11 @@ def reduce_nonpositive_row(instance: QpInstance, p: np.ndarray, i: int,
     if scale is None:
         scale = m.scale()
     p = np.asarray(p, dtype=float)
-    p_tol = TOL_PSD * max(float(np.max(np.abs(p), initial=0.0)), scale)
-    if p[i] > p_tol:
-        raise PreconditionViolated(f"p[{i}] = {p[i]:.3e} is not numerically zero")
+    if i not in blocked_start(p, q, scale):
+        raise PreconditionViolated(f"index {i} does not block the parametric start: "
+                                   f"p[{i}] = {p[i]:.3e}, q[{i}] = {q[i]:.6g}")
     if m.value(i, i) <= TOL_PIVOT * scale:
         raise PreconditionViolated(f"diagonal entry {i} is not positive")
-    if q[i] >= 0.0:
-        raise PreconditionViolated(f"q[{i}] = {q[i]:.6g} is not negative")
     n = m.n
     keep = np.concatenate([np.arange(i), np.arange(i + 1, n)])
     if not np.isfinite(u[i]):
@@ -232,11 +229,14 @@ def _restrict(instance: QpInstance, idx: np.ndarray) -> QpInstance:
     return QpInstance(instance.m.submatrix(idx), instance.q[idx], instance.u[idx])
 
 
-def _solve_blocks(instance: QpInstance, blocks: list[np.ndarray], solve) -> SolveOutcome:
+def _solve_blocks(instance: QpInstance, solve, blocks=None) -> SolveOutcome:
     """Solve each irreducible block in order and scatter the answers back.
 
-    The first unbounded block ends the solve; its ray is zero elsewhere.
+    ``blocks`` is M's split when the caller has made it.  The first
+    unbounded block ends the solve; its ray is zero elsewhere.
     """
+    if blocks is None:
+        blocks = irreducible_components(instance.m)
     if len(blocks) == 1:
         return solve(instance)
     stats = Stats()
@@ -255,9 +255,11 @@ def _solve_blocks(instance: QpInstance, blocks: list[np.ndarray], solve) -> Solv
 
 
 def _resolve_sbar(instance: QpInstance, anchor: float) -> SolveOutcome:
-    # All zero/singularity thresholds anchor at the scale of the matrix
-    # the driver was entered with: entries that shrink to roundoff along
-    # a Schur-complement chain must register as zero.
+    """Pivoting driver for one irreducible comparison-psd block.
+
+    Every zero/singularity threshold anchors at ``anchor``, the scale of the
+    block the driver was entered with, so roundoff left by a Schur-complement
+    chain registers as zero."""
     stats = Stats()
     trace = ReductionTrace(original_n=instance.n)
     work = instance
@@ -275,20 +277,20 @@ def _resolve_sbar(instance: QpInstance, anchor: float) -> SolveOutcome:
             out = SolveOutcome(status=OPTIMAL, x=np.zeros(0), stats=stats)
             return _lift_outcome(trace, out)
 
-        blocks = irreducible_components(work.m)
-        if len(blocks) > 1:
-            out = _solve_blocks(work, blocks, lambda blk: _resolve_sbar(blk, anchor))
-            stats.merge(out.stats)
-            out.stats = stats
-            return _lift_outcome(trace, out)
+        if cached_d is None and trace.steps:
+            # A fix or a drop removed variables, which can split the block;
+            # a flip keeps the sparsity pattern.
+            blocks = irreducible_components(work.m)
+            if len(blocks) > 1:
+                out = _solve_blocks(work, lambda blk: _resolve_sbar(blk, anchor), blocks)
+                stats.merge(out.stats)
+                out.stats = stats
+                return _lift_outcome(trace, out)
 
         if cached_d is None:
             cached_d = find_dominance_vector(comparison_matrix(work.m), scale=anchor)
         p = build_parametric_vector(work.m, cached_d, scale=anchor)
-        q = work.q
-        p_tol = TOL_PSD * max(float(np.max(np.abs(p), initial=0.0)), anchor)
-        q_tol = TOL_PSD * (1.0 + float(np.max(np.abs(q), initial=0.0)))
-        blocked = np.flatnonzero((p <= p_tol) & (q < -q_tol))
+        blocked = blocked_start(p, work.q, anchor)
         if blocked.size == 0:
             out = solve_psd(work, p, scale=anchor)
             stats.merge(out.stats)
@@ -448,7 +450,7 @@ def fm_feasibility_2var(eq_a, eq_b, ineq_a=None, ineq_b=None,
 # Interior stationary-point check (the final step of the k-level drivers).
 
 
-def _interior_block(instance: QpInstance, tol: float) -> np.ndarray | None:
+def _interior_block(instance: QpInstance) -> np.ndarray | None:
     """Feasible solution of q + Mx = 0, 0 <= x <= u on one block, or None.
 
     One pivoted Cholesky of M picks alpha, its first n-2 pivots (a
@@ -460,8 +462,7 @@ def _interior_block(instance: QpInstance, tol: float) -> np.ndarray | None:
     n = m.n
     a = m.full()
     if n <= 2:
-        return fm_feasibility_2var(a, -q, lower=np.zeros(n), upper=u,
-                                   tol=tol)
+        return fm_feasibility_2var(a, -q, lower=np.zeros(n), upper=u, tol=TOL_KKT)
     l, perm, rank = _pivoted_cholesky(a, TOL_PIVOT * m.scale())
     if rank < n - 2:
         return None
@@ -479,7 +480,7 @@ def _interior_block(instance: QpInstance, tol: float) -> np.ndarray | None:
     h = np.concatenate([-sol_q, u[alpha] + sol_q])
     finite = np.isfinite(h)
     x_beta = fm_feasibility_2var(eq_a, eq_b, g[finite], h[finite],
-                                 lower=np.zeros(2), upper=u[beta], tol=tol)
+                                 lower=np.zeros(2), upper=u[beta], tol=TOL_KKT)
     if x_beta is None:
         return None
     x = np.empty(n)
@@ -488,14 +489,12 @@ def _interior_block(instance: QpInstance, tol: float) -> np.ndarray | None:
     return np.minimum(np.maximum(x, 0.0), u)
 
 
-def interior_solution(instance: QpInstance, tol: float | None = None) -> np.ndarray | None:
+def interior_solution(instance: QpInstance) -> np.ndarray | None:
     """Solve q + Mx = 0 with 0 <= x <= u blockwise; None when infeasible."""
-    if tol is None:
-        tol = TOL_KKT
     blocks = irreducible_components(instance.m)
     x = np.empty(instance.n)
     for blk in blocks:
-        xb = _interior_block(_restrict(instance, blk), tol)
+        xb = _interior_block(_restrict(instance, blk))
         if xb is None:
             return None
         x[blk] = xb
@@ -551,26 +550,28 @@ def solve_sbar_n1(instance: QpInstance, *, check: bool = False) -> SolveOutcome:
 def solve_sbar_nk(instance: QpInstance, k: int, *, check: bool = False) -> SolveOutcome:
     """Recursive driver for the k-weakly quasi-diagonally dominant class.
 
-    At k <= 0 M is comparison-psd and goes whole to the pivoting driver.
-    At k >= 1 every irreducible block is at level k or below: a
-    comparison-psd block goes to the pivoting driver, and any other block
-    fixes one variable at each bound and solves those subproblems one
-    level down.
-    """
+    Each irreducible block of M is classified once: unchecked, at level 0
+    if k <= 0 or it is comparison-psd and at k otherwise; with ``check``, at
+    its ``class_level`` up to k, or it raises :class:`ClassificationFailed`.
+    A level-0 block goes to the pivoting driver, anchored at the block's own
+    scale (the blocks are independent problems); any other block fixes one
+    variable at each bound and solves those subproblems one level down."""
     if k > K_CAP:
         raise RecursionCapExceeded(f"k={k} exceeds the recursion cap {K_CAP}")
-    if check and not is_sbar_nk(instance.m, max(k, 0)):
-        raise ClassificationFailed("comparison matrix is not positive semidefinite" if k <= 0
-                                   else f"matrix is not in the k={k} weakly dominant class")
 
     def solve_block(block: QpInstance) -> SolveOutcome:
-        if is_in_sbar_plus(block.m):
+        if check:
+            level = class_level(block.m, k)
+            if level is None:
+                raise ClassificationFailed(f"classification_failed: no level up to {max(k, 0)} is "
+                                           f"verified for an irreducible block of order {block.n}")
+        else:
+            level = 0 if k <= 0 or is_in_sbar_plus(block.m) else k
+        if level == 0:
             return _resolve_sbar(block, block.m.scale())
-        return _fixing_driver(block, lambda sub: solve_sbar_nk(sub, k - 1))
+        return _fixing_driver(block, lambda sub: solve_sbar_nk(sub, level - 1))
 
     try:
-        if k <= 0:
-            return _finish(instance, _resolve_sbar(instance, instance.m.scale()))
-        return _finish(instance, _solve_blocks(instance, irreducible_components(instance.m), solve_block))
+        return _finish(instance, _solve_blocks(instance, solve_block))
     except NotApplicable as exc:
         raise ClassificationFailed(str(exc)) from exc

@@ -107,3 +107,17 @@ def banded_family(count=400, seed=3):
 def dense_of_band(d, e):
     """The n x n array of the symmetric tridiagonal matrix with diagonal d and couplings e."""
     return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def mixed_level_blocks():
+    """diag(level-1 4x4, Laplacian 2x2, comparison-psd 3x3) with q = -1, u = 2.
+
+    Each block has a level but the whole matrix has none: removing k
+    indices outside the first block leaves it beyond comparison-psd.
+    """
+    a = np.zeros((9, 9))
+    a[:4, :4] = 0.45
+    a[4:6, 4:6] = [[1.0, -1.0], [-1.0, 1.0]]
+    a[6:, 6:] = 0.3
+    np.fill_diagonal(a, 1.0)
+    return make_instance(a, -np.ones(9), np.full(9, 2.0))

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 from pppa import QpInstance, SymMatrix, classify, load_qpb, save_qpb
-from pppa import cli
+from pppa import cli, reductions
 from pppa.cli import main
+
+from helpers import mixed_level_blocks
 
 N1_TEXT = """qpb 1
 n 1
@@ -278,3 +281,48 @@ def test_pd_solves_a_near_singular_matrix(tmp_path):
         answers.append(dest.read_bytes())
     assert answers[0] == answers[1]
     assert np.array([float(v) for v in answers[0].split()]) == pytest.approx([2.0, 1.4999999985])
+
+
+def test_auto_classifies_each_block(tmp_path, capsys):
+    # Each block has a level while the whole matrix has none; auto solves it
+    # block by block, as sbar1 does.
+    path = tmp_path / "mixed.qpb"
+    save_qpb(path, mixed_level_blocks())
+    answers = []
+    for method in ("auto", "sbar1"):
+        dest = tmp_path / f"{method}.txt"
+        assert main(["solve", str(path), "--method", method, "--out", str(dest)]) == 0
+        answers.append(dest.read_bytes())
+    assert answers[0] == answers[1]
+    assert "objective=-5.78856382978" in capsys.readouterr().out
+
+
+def test_auto_tests_an_irreducible_matrix_once(tmp_path, monkeypatch):
+    path = tmp_path / "nk.qpb"
+    assert main(["generate", "--family", "sbar_nk", "--n", "8", "--k", "1", "--seed", "3",
+                 "--out", str(path)]) == 0
+    full = load_qpb(path)[0].m.full()
+    tested = []
+    classify_module = importlib.import_module("pppa.classify")
+    original = classify_module.is_in_sbar_plus
+
+    def counting(m):
+        if m.n == full.shape[0] and np.array_equal(m.full(), full):
+            tested.append(m)
+        return original(m)
+
+    for module in (classify_module, reductions):
+        monkeypatch.setattr(module, "is_in_sbar_plus", counting)
+    assert main(["solve", str(path), "--method", "auto"]) == 0
+    assert len(tested) == 1
+
+
+def test_bench_sbar_nk_solves_at_its_level(tmp_path):
+    csv_path = tmp_path / "nk.csv"
+    assert main(["bench", "--family", "sbar_nk", "--n-list", "6,8", "--k", "1",
+                 "--rho-list", "0.6", "--csv", str(csv_path)]) == 0
+    rows = [line.split(",") for line in csv_path.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        assert row[3] == "optimal"
+        assert float(row[7]) <= 1e-12

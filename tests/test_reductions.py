@@ -13,8 +13,8 @@ from pppa.errors import (ClassificationFailed, InvariantViolation, PppaError,
 from pppa.generate import GenSpec, gen_sbar_nk, gen_sbar_random
 from pppa.reductions import DropStep, FlipStep, ReductionTrace
 
-from helpers import (dense_of_band, dyadic_laplacian, make_instance, objectives_match,
-                     random_sbar)
+from helpers import (dense_of_band, dyadic_laplacian, make_instance, mixed_level_blocks,
+                     objectives_match, random_sbar)
 
 
 class TestPreprocessZeroDiag:
@@ -359,6 +359,29 @@ class TestSolveSbarNk:
     def test_recursion_cap(self):
         with pytest.raises(RecursionCapExceeded):
             solve_sbar_nk(make_instance(np.eye(2), [0.0, 0.0], [1.0, 1.0]), 9)
+
+    def test_check_classifies_each_block(self):
+        # No level holds for the whole matrix, so a whole-matrix check refuses it.
+        inst = mixed_level_blocks()
+        out = solve_sbar_nk(inst, 1, check=True)
+        assert out.status == "optimal"
+        assert out.objective == pytest.approx(-5.78856383, abs=1e-8)
+        assert kkt_residual(inst, out.x) <= 1e-12
+        with pytest.raises(ClassificationFailed, match="classification_failed"):
+            solve_sbar_nk(inst, 0, check=True)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_each_block_anchors_at_its_own_scale(self, k):
+        # The small block is positive definite: at the large block's scale its
+        # diagonal would read as zero and the solve as unbounded.
+        a = np.zeros((4, 4))
+        a[:2, :2] = 1e6 * np.array([[2.0, -1.0], [-1.0, 2.0]])
+        a[2:, 2:] = 1e-5 * np.array([[2.0, 1.0], [1.0, 2.0]])
+        inst = make_instance(a, -np.ones(4), np.full(4, np.inf))
+        out = solve_sbar_nk(inst, k)
+        assert out.status == "optimal"
+        assert out.x[2:] == pytest.approx([1e5 / 3, 1e5 / 3])
+        assert kkt_residual(inst, out.x) <= 1e-12
 
 
 class TestLinearTermConstancy:
