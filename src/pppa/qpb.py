@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import io
 import math
+import re
+import warnings
 
 import numpy as np
 
@@ -27,6 +29,16 @@ from .matrices import SymMatrix
 from .pivoting import QpInstance
 
 _HEADER_KEYS = ("family", "seed", "rho", "generator-id", "structure")
+
+# A line as str.splitlines cuts it: up to one of its breaks, "\r\n" being one.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE = re.compile(f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}])?")
+
+# A comment, or a line break other than "\n" (np.loadtxt reads these breaks
+# as spaces), leaves the triplet section to the loop; the non-ASCII breaks
+# fail the bulk read's isascii test.
+_LOOP_ONLY = "#\r\x0b\x0c\x1c\x1d\x1e"
+_TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
 def _fmt(v: float) -> str:
@@ -78,18 +90,25 @@ def _parse_real(token: str, lineno: int, allow_inf: bool = False) -> float:
 
 def parse_qpb(text: str) -> tuple[QpInstance, dict]:
     """Parse QPB text; returns (instance, header dict)."""
-    lines = text.splitlines()
-    pos = 0
+    return _parse(text, bulk=True)
+
+
+def _parse(text: str, bulk: bool) -> tuple[QpInstance, dict]:
+    """:func:`parse_qpb`; ``bulk=False`` reads the triplets with the line loop alone."""
+    pos = lineno = 0
 
     def next_line():
-        nonlocal pos
-        while pos < len(lines):
-            raw = lines[pos]
-            pos += 1
-            stripped = raw.split("#", 1)[0].strip()
+        # Records are read one line at a time from ``pos``; the line numbers
+        # are those of ``text.splitlines()``.
+        nonlocal pos, lineno
+        while pos < len(text):
+            match = _LINE.match(text, pos)
+            pos = match.end()
+            lineno += 1
+            stripped = match.group(1).split("#", 1)[0].strip()
             if stripped:
-                return stripped, pos
-        return None, pos
+                return stripped, lineno
+        return None, lineno
 
     first, lineno = next_line()
     if first is None or first.split() != ["qpb", "1"]:
@@ -142,9 +161,76 @@ def parse_qpb(text: str) -> tuple[QpInstance, dict]:
         else:
             raise ParseError(f"unknown record {key!r}", line=lineno)
 
+    structure = header.get("structure")
+    m = _bulk_matrix(text[pos:], n, nnz, structure) if bulk else None
+    if m is None:
+        m = _loop_matrix(next_line, n, nnz, structure)
+    try:
+        instance = QpInstance(m, q, u)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    return instance, header
+
+
+def _bulk_matrix(section: str, n: int, nnz: int, structure) -> SymMatrix | None:
+    """The triplet section read by one ``np.loadtxt`` call, or None.
+
+    It answers only for a section that :func:`_loop_matrix` accepts as it
+    is: ASCII text with no comment, no blank line and no line break but
+    ``\\n``, holding exactly ``nnz`` triplets with indices in 1..n, finite
+    values and no entry twice, inside the band under ``structure
+    tridiagonal``.  On anything else it returns None, and the loop reads
+    the section again and reports its error with the line number.
+    """
+    if nnz == 0 or structure not in (None, "dense", "tridiagonal"):
+        return None
+    if not section.isascii() or any(c in section for c in _LOOP_ONLY):
+        return None
+    # One triplet a line: with the row count below, this rules out blank lines.
+    if section.count("\n") + (not section.endswith("\n")) != nnz:
+        return None
+    with warnings.catch_warnings():
+        # A conversion numpy only warns about (an empty section, or a float
+        # read as an index by numpy < 2) is left to the loop as well.
+        warnings.simplefilter("error")
+        try:
+            t = np.loadtxt(io.StringIO(section), dtype=_TRIPLET, ndmin=1, comments=None)
+        except (ValueError, Warning):
+            return None
+    if t.size != nnz:
+        return None
+    lo, hi, v = np.minimum(t["i"], t["j"]), np.maximum(t["i"], t["j"]), t["v"]
+    if lo.min() < 1 or hi.max() > n or not np.isfinite(v).all():
+        return None
+    # The q record holds n values, so n is far below the 3e9 at which the
+    # keys would leave int64.
+    keys = np.sort(lo * (n + 1) + hi)
+    if np.any(keys[1:] == keys[:-1]):
+        return None
+    band = hi - lo
+    max_band = int(band.max())
+    if structure == "tridiagonal" and max_band > 1:
+        return None
+    tridiagonal = structure == "tridiagonal" or (structure is None and n >= 2 and max_band <= 1)
+    lo -= 1
+    hi -= 1
+    if tridiagonal:
+        diag, sub = np.zeros(n), np.zeros(max(n - 1, 0))
+        on = band == 0
+        diag[lo[on]] = v[on]
+        on = band == 1
+        sub[lo[on]] = v[on]
+        return SymMatrix.from_banded(diag, sub)
+    a = np.zeros((n, n))
+    a[lo, hi] = v
+    a[hi, lo] = v
+    return _wrap_dense(a)
+
+
+def _loop_matrix(next_line, n: int, nnz: int, structure) -> SymMatrix:
+    """The triplet section read record by record from ``next_line``."""
     # Triplets fill the diagonal and sub-diagonal until one lies outside the
     # band; only then (or when the header says dense) is the n x n array built.
-    structure = header.get("structure")
     diag, sub = np.zeros(n), np.zeros(max(n - 1, 0))
     a = np.zeros((n, n)) if structure == "dense" else None
     seen = set()
@@ -197,20 +283,16 @@ def parse_qpb(text: str) -> tuple[QpInstance, dict]:
     else:
         raise ParseError(f"unknown structure {structure!r}", line=lineno)
     if tridiagonal:
-        m = SymMatrix.from_banded(diag, sub)
-    else:
-        if a is None:
-            a = SymMatrix.from_banded(diag, sub).full()
-        # ``a`` is symmetric as filled, so it is wrapped as it is instead of
-        # re-symmetrized by from_dense (three n x n temporaries).  Adding 0.0
-        # turns -0.0 into 0.0, as from_dense's sums would.
-        np.add(a, 0.0, out=a)
-        m = SymMatrix(n=n, _dense=a)
-    try:
-        instance = QpInstance(m, q, u)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    return instance, header
+        return SymMatrix.from_banded(diag, sub)
+    return _wrap_dense(a if a is not None else SymMatrix.from_banded(diag, sub).full())
+
+
+def _wrap_dense(a: np.ndarray) -> SymMatrix:
+    # ``a`` is symmetric as filled, so it is wrapped as it is instead of
+    # re-symmetrized by from_dense (three n x n temporaries).  Adding 0.0
+    # turns -0.0 into 0.0, as from_dense's sums would.
+    np.add(a, 0.0, out=a)
+    return SymMatrix(n=a.shape[0], _dense=a)
 
 
 def load_qpb(path) -> tuple[QpInstance, dict]:

@@ -122,6 +122,11 @@ def _lift_outcome(step, out: SolveOutcome) -> SolveOutcome:
     return out
 
 
+def _q_tol(q: np.ndarray) -> float:
+    """TOL_KKT relative to 1 + ||q||_inf: the certificate threshold of a problem with cost q."""
+    return TOL_KKT * (1.0 + float(np.max(np.abs(q), initial=0.0)))
+
+
 def _finish(instance: QpInstance, out: SolveOutcome) -> SolveOutcome:
     """The drivers' one exit: clamp an optimal x into the box and price it."""
     if out.status == OPTIMAL:
@@ -147,15 +152,18 @@ def flip_variable(m: SymMatrix, q: np.ndarray, i: int, u_i: float):
     return m.flip(i), q2
 
 
-def preprocess_zero_diag(instance: QpInstance, scale: float | None = None):
+def preprocess_zero_diag(instance: QpInstance, scale: float | None = None,
+                         q_tol: float | None = None):
     """Fix (or expose as unbounded) every zero-diagonal variable.
 
     For comparison-psd M a vanished diagonal forces the whole row to
     vanish, so the variable separates: returns (reduced instance, fix
     steps, None) or (instance, [], ray) when some separated variable
-    has negative cost and no upper bound.  ``scale`` anchors the
+    has a cost below ``-q_tol`` and no upper bound.  ``scale`` anchors the
     zero-diagonal threshold (reduced problems pass the original scale
-    so roundoff-sized Schur entries register as zero).
+    so roundoff-sized Schur entries register as zero).  ``q_tol``
+    defaults to :func:`recession_check`'s descent threshold for this
+    instance; a block of a larger problem passes that problem's.
     """
     m, q, u = instance.m, instance.q, instance.u
     n = m.n
@@ -169,7 +177,8 @@ def preprocess_zero_diag(instance: QpInstance, scale: float | None = None):
     if nonzero_row.size:
         raise InvariantViolation(f"diagonal entry {zero[nonzero_row[0]]} vanishes but its row "
                                  "does not; matrix is not comparison-psd")
-    q_tol = TOL_KKT * (1.0 + float(np.max(np.abs(q), initial=0.0)))
+    if q_tol is None:
+        q_tol = _q_tol(q)
     for i in zero:
         if not np.isfinite(u[i]) and q[i] < -q_tol:
             ray = np.zeros(n)
@@ -254,19 +263,20 @@ def _solve_blocks(instance: QpInstance, solve, blocks=None) -> SolveOutcome:
     return SolveOutcome(status=OPTIMAL, x=x, stats=stats)
 
 
-def _resolve_sbar(instance: QpInstance, anchor: float) -> SolveOutcome:
+def _resolve_sbar(instance: QpInstance, anchor: float, q_tol: float) -> SolveOutcome:
     """Pivoting driver for one irreducible comparison-psd block.
 
     Every zero/singularity threshold anchors at ``anchor``, the scale of the
     block the driver was entered with, so roundoff left by a Schur-complement
-    chain registers as zero."""
+    chain registers as zero.  A zero-diagonal variable is unbounded when its
+    cost is below ``-q_tol``."""
     stats = Stats()
     trace = ReductionTrace(original_n=instance.n)
     work = instance
     cached_d = None
     budget = 3 * max(instance.n, 1) + 3
     for _ in range(budget):
-        work, fix_steps, ray = preprocess_zero_diag(work, scale=anchor)
+        work, fix_steps, ray = preprocess_zero_diag(work, scale=anchor, q_tol=q_tol)
         if ray is not None:
             out = SolveOutcome(status=UNBOUNDED, ray=Ray(direction=ray), stats=stats)
             return _lift_outcome(trace, out)
@@ -282,7 +292,8 @@ def _resolve_sbar(instance: QpInstance, anchor: float) -> SolveOutcome:
             # a flip keeps the sparsity pattern.
             blocks = irreducible_components(work.m)
             if len(blocks) > 1:
-                out = _solve_blocks(work, lambda blk: _resolve_sbar(blk, anchor), blocks)
+                out = _solve_blocks(work, lambda blk: _resolve_sbar(blk, anchor, q_tol),
+                                   blocks)
                 stats.merge(out.stats)
                 out.stats = stats
                 return _lift_outcome(trace, out)
@@ -513,7 +524,7 @@ def _fixing_driver(instance: QpInstance, subsolve) -> SolveOutcome:
     stats = Stats()
     if n == 0:
         return SolveOutcome(status=OPTIMAL, x=np.zeros(0), stats=stats)
-    tol_cert = TOL_KKT * (1.0 + float(np.max(np.abs(q), initial=0.0)))
+    tol_cert = _q_tol(q)
     for i in range(n):
         keep = np.concatenate([np.arange(i), np.arange(i + 1, n)])
         row = m.row(i)[keep]
@@ -555,7 +566,16 @@ def solve_sbar_nk(instance: QpInstance, k: int, *, check: bool = False) -> Solve
     its ``class_level`` up to k, or it raises :class:`ClassificationFailed`.
     A level-0 block goes to the pivoting driver, anchored at the block's own
     scale (the blocks are independent problems); any other block fixes one
-    variable at each bound and solves those subproblems one level down."""
+    variable at each bound and solves those subproblems one level down.
+    Every block and subproblem judges a zero-diagonal ray at the q scale of
+    ``instance``, as :func:`recession_check` judges the ray it returns."""
+    try:
+        return _solve_nk(instance, k, check, _q_tol(instance.q))
+    except NotApplicable as exc:
+        raise ClassificationFailed(str(exc)) from exc
+
+
+def _solve_nk(instance: QpInstance, k: int, check: bool, q_tol: float) -> SolveOutcome:
     if k > K_CAP:
         raise RecursionCapExceeded(f"k={k} exceeds the recursion cap {K_CAP}")
 
@@ -568,10 +588,7 @@ def solve_sbar_nk(instance: QpInstance, k: int, *, check: bool = False) -> Solve
         else:
             level = 0 if k <= 0 or is_in_sbar_plus(block.m) else k
         if level == 0:
-            return _resolve_sbar(block, block.m.scale())
-        return _fixing_driver(block, lambda sub: solve_sbar_nk(sub, level - 1))
+            return _resolve_sbar(block, block.m.scale(), q_tol)
+        return _fixing_driver(block, lambda sub: _solve_nk(sub, level - 1, False, q_tol))
 
-    try:
-        return _finish(instance, _solve_blocks(instance, solve_block))
-    except NotApplicable as exc:
-        raise ClassificationFailed(str(exc)) from exc
+    return _finish(instance, _solve_blocks(instance, solve_block))

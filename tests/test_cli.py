@@ -173,6 +173,41 @@ def test_usage_error_exit_code(capsys):
     assert main(["solve", "x.qpb", "--method", "wat"]) == 64
 
 
+def test_calls_share_the_parser_but_no_state(n1_file, tmp_path, capsys, monkeypatch):
+    # main builds its argparse tree once; the options of one call must not
+    # reach the next.
+    dest = tmp_path / "x.txt"
+    assert main(["solve", n1_file, "--tol", "0.5", "--out", str(dest)]) == 0
+    assert "x=" not in capsys.readouterr().out
+    dest.unlink()
+    defaults = []
+
+    def recording_tol():
+        defaults.append(True)
+        return 1e-8
+
+    monkeypatch.setattr(cli, "default_kkt_tol", recording_tol)
+    assert main(["solve", n1_file]) == 0
+    assert "x=1" in capsys.readouterr().out
+    assert not dest.exists()
+    assert defaults == [True]
+    assert main(["solve"]) == 64
+    assert main(["solve", n1_file]) == 0
+    assert cli._parser() is cli._parser()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["bench", "--help"],
+                                  ["frobnicate"], ["solve"], ["solve", "x", "--method", "wat"]])
+def test_help_and_usage_match_a_fresh_parser(argv, capsys):
+    code = main(argv)
+    cached = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    fresh = capsys.readouterr()
+    assert (code, cached.out, cached.err) == (exc.value.code, fresh.out, fresh.err)
+    assert code == (0 if "--help" in argv else 64)
+
+
 def test_missing_file_is_error(capsys):
     assert main(["solve", "/nonexistent/path.qpb"]) == 1
 

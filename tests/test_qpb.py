@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pppa import GenSpec, QpInstance, SymMatrix, gen_sbar_random, parse_qpb, write_qpb
-from pppa.errors import DuplicateEntry, IndexOutOfRange, ParseError
+from pppa import GenSpec, QpInstance, SymMatrix, gen_sbar_random, parse_qpb, qpb, write_qpb
+from pppa.errors import DuplicateEntry, IndexOutOfRange, ParseError, QpbError
 
 MINIMAL = """qpb 1
 n 1
@@ -185,3 +187,122 @@ class TestBandedParse:
                 "1 1 1\n1 3 0.5\n3 3 1\n")
         with pytest.raises(ParseError, match="outside the band"):
             parse_qpb(text)
+
+
+def _bits(parse, text):
+    """What ``parse`` makes of ``text``: the instance's storage bits, or its error."""
+    try:
+        inst, header = parse(text)
+    except QpbError as exc:
+        return type(exc), str(exc), exc.line
+    m = inst.m
+    arrays = m.band() if m.tridiagonal else (m._dense,)
+    return (m.tridiagonal, m._dense is None, header,
+            [a.tobytes() for a in (*arrays, inst.q, inst.u)])
+
+
+def _parse_by_loop(text):
+    return qpb._parse(text, bulk=False)
+
+
+@st.composite
+def _triplet_files(draw):
+    """A valid QPB file as (head up to the m record, triplet lines, n, structure)."""
+    n = draw(st.integers(1, 7))
+    structure = draw(st.sampled_from([None, "dense", "tridiagonal"]))
+    width = draw(st.integers(0, 1 if structure == "tridiagonal" else n - 1))
+    band = [(i, j) for i in range(n) for j in range(i, min(n, i + width + 1))]
+    keys = draw(st.lists(st.sampled_from(band), min_size=1, unique=True))
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    space = st.sampled_from([" ", "\t", "  ", " \t "])
+    edge = st.sampled_from(["", " ", "\t"])
+    lines = []
+    for i, j in keys:
+        if draw(st.booleans()):
+            i, j = j, i
+        v = draw(value)
+        text_v = repr(v) if draw(st.booleans()) else f"{v:.17g}"
+        lines.append(draw(edge) + draw(space).join([str(i + 1), str(j + 1), text_v])
+                     + draw(edge))
+    head = ("qpb 1\n" + (f"structure {structure}\n" if structure else "")
+            + f"n {n}\nq{' -1' * n}\nu{' 2' * n}\n")
+    return head, lines, n, structure
+
+
+class TestBulkMatchesLoop:
+    """The bulk triplet read answers exactly as the line loop, or leaves the file to it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_triplet_files(), st.booleans())
+    def test_valid_files(self, drawn, final_newline):
+        head, lines, n, structure = drawn
+        section = "\n".join(lines) + ("\n" if final_newline else "")
+        text = f"{head}m {len(lines)}\n{section}"
+        assert qpb._bulk_matrix(section, n, len(lines), structure) is not None
+        assert _bits(parse_qpb, text) == _bits(_parse_by_loop, text)
+
+    TOKENS = ("1_0", "\u0661", "+1", "1.0", "nan", "inf", "1e400", "-0.0")
+    # str.splitlines breaks a line at each of these; np.loadtxt reads them as spaces.
+    BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+    MUTATIONS = ([("token", t) for t in TOKENS] + [("break", b) for b in BREAKS]
+                 + [(kind, None) for kind in ("crlf", "blank", "blank_for_triplet", "comment",
+                                              "trailing", "duplicate", "out_of_range",
+                                              "short", "long")])
+    # Only these may leave a plain, valid file that the bulk read answers.
+    MAY_STAY_PLAIN = {("token", "+1"), ("token", "1.0"), ("token", "-0.0")}
+
+    @pytest.mark.parametrize("mutation", MUTATIONS, ids=[f"{k}-{a!r}" for k, a in MUTATIONS])
+    @settings(max_examples=25, deadline=None)
+    @given(drawn=_triplet_files(), data=st.data())
+    def test_mutated_files(self, mutation, drawn, data):
+        # Every mutation either keeps the file valid (then both reads give the
+        # same bits) or breaks it (then both raise the same error, same line).
+        head, lines, n, structure = drawn
+        kind, arg = mutation
+        nnz = len(lines)
+        at = data.draw(st.integers(0, nnz - 1))
+        tokens = lines[at].split()
+        if kind == "token":
+            tokens[data.draw(st.integers(0, 2))] = arg
+            lines[at] = " ".join(tokens)
+        elif kind == "break":
+            cut = data.draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:cut] + arg + lines[at][cut:]
+        elif kind == "blank":
+            lines.insert(at, data.draw(st.sampled_from(["", " ", "\t "])))
+        elif kind == "blank_for_triplet":
+            lines[at] = data.draw(st.sampled_from(["", " ", "\t "]))
+        elif kind == "comment":
+            lines[at] += data.draw(st.sampled_from([" # note", "#", "  #1 1 1"]))
+        elif kind == "trailing":
+            lines.append(data.draw(st.sampled_from(["u 1", "1 1", "extra stuff"])))
+        elif kind == "duplicate":
+            lines.insert(data.draw(st.integers(0, nnz)), f"{tokens[1]} {tokens[0]} 3.5")
+            nnz += 1
+        elif kind == "out_of_range":
+            tokens[data.draw(st.integers(0, 1))] = str(data.draw(st.sampled_from([0, n + 1])))
+            lines[at] = " ".join(tokens)
+        elif kind == "short":
+            nnz += 1
+        elif kind == "long":
+            nnz -= 1
+        section = "\n".join(lines) + "\n"
+        if kind == "crlf":
+            section = section.replace("\n", "\r\n")
+        text = f"{head}m {nnz}\n{section}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if mutation not in self.MAY_STAY_PLAIN:
+                assert qpb._bulk_matrix(section, n, nnz, structure) is None
+            assert _bits(parse_qpb, text) == _bits(_parse_by_loop, text)
+        assert not caught, "a numpy warning left the bulk read"
+
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+                                     "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_line_numbers_follow_splitlines(self, brk):
+        records = ["qpb 1", "", "n 2", "q 0 0", "u 1 1", "m 2", "1 1 1", "", "2 2 bogus"]
+        text = brk.join(records) + brk
+        with pytest.raises(ParseError) as err:
+            parse_qpb(text)
+        assert err.value.line == 9
+        assert _bits(parse_qpb, text) == _bits(_parse_by_loop, text)

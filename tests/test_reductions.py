@@ -383,6 +383,24 @@ class TestSolveSbarNk:
         assert out.x[2:] == pytest.approx([1e5 / 3, 1e5 / 3])
         assert kkt_residual(inst, out.x) <= 1e-12
 
+    @pytest.mark.parametrize("k, check", [(0, False), (1, False), (2, True)])
+    @pytest.mark.parametrize("q3", [-1e-7, -1e-5])
+    def test_zero_diagonal_ray_at_the_problems_q_scale(self, k, check, q3):
+        # x_3 separates with m_33 = 0.  The driver must call it unbounded
+        # exactly when recession_check, which scales by the whole problem's q
+        # (1e-8 * (1 + 100)), accepts the ray e_3: not for q_3 = -1e-7, where
+        # x_3 = 0 leaves a KKT residual within that tolerance.
+        a = np.zeros((3, 3))
+        a[:2, :2] = [[2.0, -1.0], [-1.0, 2.0]]
+        inst = make_instance(a, [-100.0, 1.0, q3], np.full(3, np.inf))
+        out = solve_sbar_nk(inst, k, check=check)
+        if q3 == -1e-7:
+            assert out.status == "optimal"
+            assert kkt_residual(inst, out.x) <= 1e-8 * 101
+        else:
+            assert out.status == "unbounded"
+            assert recession_check(inst, out.ray)
+
 
 class TestLinearTermConstancy:
     def test_gradient_row_constant_over_optima(self):
