@@ -15,8 +15,6 @@ import re
 import sys
 import time
 
-import numpy as np
-
 from .classify import classify, is_in_sbar_plus
 from .errors import PppaError
 from .generate import GENERATOR_ID, GenSpec, generate
@@ -25,7 +23,7 @@ from .matrices import is_pd
 from .pivoting import OPTIMAL, UNBOUNDED, QpInstance, SolveOutcome
 from .qpb import load_qpb, save_qpb
 from .reductions import solve_sbar_nk
-from .tolerances import default_kkt_tol
+from .tolerances import default_kkt_tol, kkt_threshold
 
 EXIT_OPTIMAL = 0
 EXIT_ERROR = 1
@@ -75,36 +73,26 @@ def _cmd_solve(args) -> int:
     instance, _ = load_qpb(args.file)
     tol = args.tol if args.tol is not None else default_kkt_tol()
     out = _solve_with_method(instance, args.method)
+    # The solver answers optimal or unbounded with a ray, or raises.
     line = _outcome_line(out)
-    residual_ok = True
     if out.status == OPTIMAL:
         residual = kkt_residual(instance, out.x)
-        residual_ok = residual <= tol * (1.0 + float(np.max(np.abs(instance.q), initial=0.0)))
         line += f" kkt_residual={residual:.3e}"
-    vector = None
-    label = None
-    if out.status == OPTIMAL:
         vector, label = out.x, "x"
-    elif out.status == UNBOUNDED and out.ray is not None:
-        vector, label = out.ray.direction, "ray"
-    if vector is not None:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(_fmt(v) for v in vector) + "\n")
-            print(line)
-        else:
-            print(f"{line} {label}=" + ",".join(_fmt(v) for v in vector))
     else:
+        vector, label = out.ray.direction, "ray"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(_fmt(v) for v in vector) + "\n")
         print(line)
-    if out.status == OPTIMAL:
-        if not residual_ok:
-            print("reason=kkt_residual_above_tolerance", file=sys.stderr)
-            return EXIT_ERROR
-        return EXIT_OPTIMAL
+    else:
+        print(f"{line} {label}=" + ",".join(_fmt(v) for v in vector))
     if out.status == UNBOUNDED:
         return EXIT_UNBOUNDED
-    print(f"reason={out.reason}", file=sys.stderr)
-    return EXIT_ERROR
+    if residual > kkt_threshold(instance.q, tol):
+        print("reason=kkt_residual_above_tolerance", file=sys.stderr)
+        return EXIT_ERROR
+    return EXIT_OPTIMAL
 
 
 def _bool(v) -> str:
@@ -148,13 +136,13 @@ def _cmd_verify(args) -> int:
     ok = True
     if out.status == OPTIMAL:
         residual = kkt_residual(instance, out.x)
-        bound = tol * (1.0 + float(np.max(np.abs(instance.q), initial=0.0)))
+        bound = kkt_threshold(instance.q, tol)
         print(f"objective={_fmt(out.objective)}")
         print(f"kkt_residual={residual:.3e}")
         print(f"kkt_ok={_bool(residual <= bound)}")
         ok &= residual <= bound
     elif out.status == UNBOUNDED:
-        valid = out.ray is not None and recession_check(instance, out.ray, tol)
+        valid = recession_check(instance, out.ray, tol)
         print(f"certificate_ok={_bool(valid)}")
         ok &= valid
     if args.oracle:

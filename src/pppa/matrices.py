@@ -51,6 +51,12 @@ class SymMatrix:
         return cls(n=n, _dense=full)
 
     @classmethod
+    def _from_symmetric(cls, a: np.ndarray) -> "SymMatrix":
+        """Take over ``a``, exactly symmetric already; -0.0 becomes 0.0 as in :meth:`from_dense`."""
+        np.add(a, 0.0, out=a)
+        return cls(n=a.shape[0], _dense=a)
+
+    @classmethod
     def from_banded(cls, diag, sub) -> "SymMatrix":
         diag = _as_vector(diag)
         sub = np.asarray(sub, dtype=float).reshape(-1)
@@ -193,8 +199,9 @@ class SymMatrix:
             if 0 < i < n - 1:
                 e2[i - 1] -= row[i - 1] * row[i] / piv
             return reduced, row, piv
+        # Exactly symmetric: row[k] * row[l] == row[l] * row[k].
         block = self.full()[np.ix_(keep, keep)] - np.outer(row, row) / piv
-        return SymMatrix.from_dense((block + block.T) / 2.0), row, piv
+        return SymMatrix._from_symmetric(block), row, piv
 
     def flip(self, i: int) -> "SymMatrix":
         """S M S with S the identity but s_ii = -1: row and column i change
@@ -207,7 +214,7 @@ class SymMatrix:
         a = self.full().copy()
         a[i, :] = -a[i, :]
         a[:, i] = -a[:, i]
-        return SymMatrix.from_dense(a)
+        return SymMatrix._from_symmetric(a)
 
     def submatrix(self, keep) -> "SymMatrix":
         """Principal submatrix on the (sorted) index set ``keep``."""

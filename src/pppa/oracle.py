@@ -14,9 +14,8 @@ from itertools import product
 import numpy as np
 
 from .errors import TooLarge
-from .matrices import as_sym
 from .pivoting import ERROR, OPTIMAL, UNBOUNDED, QpInstance, Ray, SolveOutcome, Stats
-from .tolerances import TOL_KERNEL_FLOOR, TOL_KKT, TOL_PSD
+from .tolerances import TOL_KERNEL_FLOOR, TOL_KKT, TOL_PSD, kkt_threshold
 
 ORACLE_MAX_N = 10
 
@@ -75,7 +74,7 @@ def recession_check(instance: QpInstance, ray: Ray | np.ndarray, tol: float = TO
     if float(np.max(np.abs(md), initial=0.0)) > tol * max(instance.m.scale(), 1.0):
         return False
     descent = float(instance.q @ d)
-    return descent < -tol * (1.0 + float(np.max(np.abs(instance.q), initial=0.0)))
+    return descent < -kkt_threshold(instance.q, tol)
 
 
 def find_recession_direction(instance: QpInstance) -> np.ndarray | None:

@@ -138,7 +138,6 @@ class Ray:
     """Recession certificate: feasible direction of linear descent."""
 
     direction: np.ndarray
-    index: int | None = None
 
 
 @dataclass
@@ -628,8 +627,7 @@ def solve_psd(instance: QpInstance, p, *, callback=None,
                     d[(d < 0.0) & (d > -TOL_RAY_NEGATIVE)] = 0.0
                     if callback is not None:
                         callback(state, tau_new, None)
-                    return SolveOutcome(status=UNBOUNDED, ray=Ray(direction=d, index=i_bar),
-                                        stats=stats)
+                    return SolveOutcome(status=UNBOUNDED, ray=Ray(direction=d), stats=stats)
                 decision = PivotDecision(kind=sub_kind, i_bar=i_bar, j_bar=j_bar,
                                          tau_new=tau_new)
 

@@ -21,6 +21,7 @@ import io
 import math
 import re
 import warnings
+from array import array
 
 import numpy as np
 
@@ -207,34 +208,17 @@ def _bulk_matrix(section: str, n: int, nnz: int, structure) -> SymMatrix | None:
     keys = np.sort(lo * (n + 1) + hi)
     if np.any(keys[1:] == keys[:-1]):
         return None
-    band = hi - lo
-    max_band = int(band.max())
-    if structure == "tridiagonal" and max_band > 1:
+    if structure == "tridiagonal" and np.any(hi - lo > 1):
         return None
-    tridiagonal = structure == "tridiagonal" or (structure is None and n >= 2 and max_band <= 1)
     lo -= 1
     hi -= 1
-    if tridiagonal:
-        diag, sub = np.zeros(n), np.zeros(max(n - 1, 0))
-        on = band == 0
-        diag[lo[on]] = v[on]
-        on = band == 1
-        sub[lo[on]] = v[on]
-        return SymMatrix.from_banded(diag, sub)
-    a = np.zeros((n, n))
-    a[lo, hi] = v
-    a[hi, lo] = v
-    return _wrap_dense(a)
+    return _fill(n, lo, hi, v, structure)
 
 
 def _loop_matrix(next_line, n: int, nnz: int, structure) -> SymMatrix:
-    """The triplet section read record by record from ``next_line``."""
-    # Triplets fill the diagonal and sub-diagonal until one lies outside the
-    # band; only then (or when the header says dense) is the n x n array built.
-    diag, sub = np.zeros(n), np.zeros(max(n - 1, 0))
-    a = np.zeros((n, n)) if structure == "dense" else None
+    """The triplet section checked record by record from ``next_line``, then :func:`_fill`."""
+    lo, hi, vals = array("q"), array("q"), array("d")
     seen = set()
-    max_band = 0
     for _ in range(nnz):
         line, lineno = next_line()
         if line is None:
@@ -254,45 +238,40 @@ def _loop_matrix(next_line, n: int, nnz: int, structure) -> SymMatrix:
         if key in seen:
             raise DuplicateEntry(f"triplet ({i}, {j}) appears twice", line=lineno)
         seen.add(key)
-        v = _parse_real(tokens[2], lineno)
-        band = j - i
-        if band > max_band:
-            max_band = band
-            # Under 'structure tridiagonal' the triplet is rejected after the loop.
-            if a is None and band > 1 and structure != "tridiagonal":
-                a = SymMatrix.from_banded(diag, sub).full()
-        if a is not None:
-            a[i - 1, j - 1] = v
-            a[j - 1, i - 1] = v
-        elif band == 0:
-            diag[i - 1] = v
-        elif band == 1:
-            sub[i - 1] = v
+        vals.append(_parse_real(tokens[2], lineno))
+        lo.append(i - 1)
+        hi.append(j - 1)
     trailing, lineno = next_line()
     if trailing is not None:
         raise ParseError(f"unexpected trailing record {trailing!r}", line=lineno)
 
-    if structure is None:
-        tridiagonal = n >= 2 and max_band <= 1
-    elif structure == "tridiagonal":
-        if max_band > 1:
-            raise ParseError("structure tridiagonal but a triplet lies outside the band", line=lineno)
-        tridiagonal = True
-    elif structure == "dense":
-        tridiagonal = False
-    else:
+    if structure not in (None, "dense", "tridiagonal"):
         raise ParseError(f"unknown structure {structure!r}", line=lineno)
-    if tridiagonal:
+    lo, hi = np.frombuffer(lo, dtype=np.int64), np.frombuffer(hi, dtype=np.int64)
+    if structure == "tridiagonal" and np.any(hi - lo > 1):
+        raise ParseError("structure tridiagonal but a triplet lies outside the band", line=lineno)
+    return _fill(n, lo, hi, np.frombuffer(vals, dtype=np.float64), structure)
+
+
+def _fill(n: int, lo: np.ndarray, hi: np.ndarray, v: np.ndarray, structure) -> SymMatrix:
+    """M from checked 0-based triplets ``(lo, hi, v)``, ``lo <= hi``: QPB's storage rule.
+
+    M is tridiagonal under ``structure tridiagonal``, or with no structure
+    key when n >= 2 and every triplet lies in the band; it is dense
+    otherwise.  Unlisted entries are zero.
+    """
+    band = hi - lo
+    if structure == "tridiagonal" or (structure is None and n >= 2 and np.all(band <= 1)):
+        diag, sub = np.zeros(n), np.zeros(max(n - 1, 0))
+        on = band == 0
+        diag[lo[on]] = v[on]
+        on = band == 1
+        sub[lo[on]] = v[on]
         return SymMatrix.from_banded(diag, sub)
-    return _wrap_dense(a if a is not None else SymMatrix.from_banded(diag, sub).full())
-
-
-def _wrap_dense(a: np.ndarray) -> SymMatrix:
-    # ``a`` is symmetric as filled, so it is wrapped as it is instead of
-    # re-symmetrized by from_dense (three n x n temporaries).  Adding 0.0
-    # turns -0.0 into 0.0, as from_dense's sums would.
-    np.add(a, 0.0, out=a)
-    return SymMatrix(n=a.shape[0], _dense=a)
+    a = np.zeros((n, n))
+    a[lo, hi] = v
+    a[hi, lo] = v
+    return SymMatrix._from_symmetric(a)
 
 
 def load_qpb(path) -> tuple[QpInstance, dict]:

@@ -27,10 +27,10 @@ from .errors import (ClassificationFailed, InvariantViolation, NotApplicable,
                      PreconditionViolated, RecursionCapExceeded)
 from .matrices import (SymMatrix, as_sym, comparison_matrix,
                        irreducible_components, _pivoted_cholesky)
-from .oracle import find_recession_direction
+from .oracle import find_recession_direction, kkt_residual, recession_check
 from .pivoting import (OPTIMAL, UNBOUNDED, QpInstance, Ray, SolveOutcome,
                        Stats, blocked_start, solve_psd)
-from .tolerances import TOL_FM, TOL_KKT, TOL_LIFT_RAY, TOL_PIVOT, TOL_ZERO_ROW
+from .tolerances import TOL_FM, TOL_KKT, TOL_LIFT_RAY, TOL_PIVOT, TOL_ZERO_ROW, kkt_threshold
 
 K_CAP = 3
 
@@ -117,14 +117,9 @@ def _lift_outcome(step, out: SolveOutcome) -> SolveOutcome:
     """Map a reduced problem's answer back through ``step`` (a trace step or a whole trace)."""
     if out.status == OPTIMAL:
         out.x = step.lift_point(out.x)
-    elif out.status == UNBOUNDED and out.ray is not None:
+    else:
         out.ray = Ray(direction=step.lift_ray(out.ray.direction))
     return out
-
-
-def _q_tol(q: np.ndarray) -> float:
-    """TOL_KKT relative to 1 + ||q||_inf: the certificate threshold of a problem with cost q."""
-    return TOL_KKT * (1.0 + float(np.max(np.abs(q), initial=0.0)))
 
 
 def _finish(instance: QpInstance, out: SolveOutcome) -> SolveOutcome:
@@ -178,7 +173,7 @@ def preprocess_zero_diag(instance: QpInstance, scale: float | None = None,
         raise InvariantViolation(f"diagonal entry {zero[nonzero_row[0]]} vanishes but its row "
                                  "does not; matrix is not comparison-psd")
     if q_tol is None:
-        q_tol = _q_tol(q)
+        q_tol = kkt_threshold(q)
     for i in zero:
         if not np.isfinite(u[i]) and q[i] < -q_tol:
             ray = np.zeros(n)
@@ -254,11 +249,9 @@ def _solve_blocks(instance: QpInstance, solve, blocks=None) -> SolveOutcome:
         out = solve(_restrict(instance, blk))
         stats.merge(out.stats)
         if out.status == UNBOUNDED:
-            ray = None
-            if out.ray is not None:
-                ray = Ray(direction=np.zeros(instance.n))
-                ray.direction[blk] = out.ray.direction
-            return SolveOutcome(status=UNBOUNDED, ray=ray, stats=stats, reason=out.reason)
+            ray = Ray(direction=np.zeros(instance.n))
+            ray.direction[blk] = out.ray.direction
+            return SolveOutcome(status=UNBOUNDED, ray=ray, stats=stats)
         x[blk] = out.x
     return SolveOutcome(status=OPTIMAL, x=x, stats=stats)
 
@@ -524,7 +517,7 @@ def _fixing_driver(instance: QpInstance, subsolve) -> SolveOutcome:
     stats = Stats()
     if n == 0:
         return SolveOutcome(status=OPTIMAL, x=np.zeros(0), stats=stats)
-    tol_cert = _q_tol(q)
+    tol_cert = kkt_threshold(q)
     for i in range(n):
         keep = np.concatenate([np.arange(i), np.arange(i + 1, n)])
         row = m.row(i)[keep]
@@ -548,9 +541,10 @@ def _fixing_driver(instance: QpInstance, subsolve) -> SolveOutcome:
     if x is not None:
         return SolveOutcome(status=OPTIMAL, x=x, stats=stats)
     d = find_recession_direction(instance)
-    ray = Ray(direction=d) if d is not None else None
-    return SolveOutcome(status=UNBOUNDED, ray=ray, stats=stats,
-                        reason="no bound certificate and the stationary system is infeasible")
+    if d is None:
+        raise InvariantViolation("no bound certificate, the stationary system is infeasible "
+                                 "and no recession direction was found")
+    return SolveOutcome(status=UNBOUNDED, ray=Ray(direction=d), stats=stats)
 
 
 def solve_sbar_n1(instance: QpInstance, *, check: bool = False) -> SolveOutcome:
@@ -568,11 +562,25 @@ def solve_sbar_nk(instance: QpInstance, k: int, *, check: bool = False) -> Solve
     scale (the blocks are independent problems); any other block fixes one
     variable at each bound and solves those subproblems one level down.
     Every block and subproblem judges a zero-diagonal ray at the q scale of
-    ``instance``, as :func:`recession_check` judges the ray it returns."""
+    ``instance``, as :func:`recession_check` judges the ray it returns.
+
+    The answer is certified: ``optimal`` only with a KKT residual within
+    :func:`kkt_threshold`, ``unbounded`` only with a ray that
+    :func:`recession_check` accepts; any other answer raises
+    :class:`InvariantViolation`."""
+    q_tol = kkt_threshold(instance.q)
     try:
-        return _solve_nk(instance, k, check, _q_tol(instance.q))
+        out = _solve_nk(instance, k, check, q_tol)
     except NotApplicable as exc:
         raise ClassificationFailed(str(exc)) from exc
+    if out.status == OPTIMAL:
+        residual = kkt_residual(instance, out.x)
+        if residual > q_tol:
+            raise InvariantViolation(f"optimal answer has KKT residual {residual:.3e}, "
+                                     f"above its tolerance {q_tol:.3e}")
+    elif not recession_check(instance, out.ray):
+        raise InvariantViolation("unbounded answer's ray fails recession_check")
+    return out
 
 
 def _solve_nk(instance: QpInstance, k: int, check: bool, q_tol: float) -> SolveOutcome:

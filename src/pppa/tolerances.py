@@ -9,6 +9,8 @@ arguments; the linear-algebra thresholds are fixed.
 
 import os
 
+import numpy as np
+
 # Nonsingularity / zero-Schur-diagonal threshold (times scale).
 TOL_PIVOT = 1e-10
 
@@ -57,6 +59,11 @@ TOL_KERNEL_FLOOR = 1e-12
 TOL_FM = 1e-9
 
 _SCALE_FLOOR = 1e-30
+
+
+def kkt_threshold(q, tol: float = TOL_KKT) -> float:
+    """``tol`` times 1 + ||q||_inf: the KKT and certificate threshold of a problem with cost q."""
+    return tol * (1.0 + float(np.max(np.abs(q), initial=0.0)))
 
 
 def default_kkt_tol() -> float:

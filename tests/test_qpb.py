@@ -188,6 +188,42 @@ class TestBandedParse:
         with pytest.raises(ParseError, match="outside the band"):
             parse_qpb(text)
 
+    # The same two bounds on the line loop: a comment after the m record
+    # leaves the whole triplet section to it.
+
+    @staticmethod
+    def _loop_peak(text, monkeypatch):
+        import tracemalloc
+
+        head, m_line, triplets = text.partition("\nm ")
+        count, _, triplets = triplets.partition("\n")
+        text = f"{head}{m_line}{count}\n# read by the line loop\n{triplets}"
+        calls = []
+        loop = qpb._loop_matrix
+        monkeypatch.setattr(qpb, "_loop_matrix", lambda *args: calls.append(1) or loop(*args))
+        tracemalloc.start()
+        try:
+            inst, _ = parse_qpb(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [1]
+        return inst, peak
+
+    def test_loop_tridiagonal_parse_memory_is_linear(self, monkeypatch):
+        from pppa import gen_tridiagonal
+        text = write_qpb(gen_tridiagonal(GenSpec(family="tridiagonal", n=20000, seed=1)))
+        inst, peak = self._loop_peak(text, monkeypatch)
+        assert inst.m._dense is None
+        assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+    def test_loop_dense_parse_memory(self, monkeypatch):
+        n = 600
+        text = write_qpb(gen_sbar_random(GenSpec(family="sbar_random", n=n, rho=0.2, seed=3)))
+        inst, peak = self._loop_peak(text, monkeypatch)
+        assert not inst.m.tridiagonal
+        assert peak < 4 * n * n * 8, f"peak {peak / 2 ** 20:.1f} MB"
+
 
 def _bits(parse, text):
     """What ``parse`` makes of ``text``: the instance's storage bits, or its error."""

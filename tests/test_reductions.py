@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from pppa import (QpInstance, SymMatrix, build_parametric_vector, class_level,
-                  comparison_matrix, enumerate_active_sets,
+from pppa import (QpInstance, Ray, SolveOutcome, SymMatrix, build_parametric_vector,
+                  class_level, comparison_matrix, enumerate_active_sets,
                   find_dominance_vector, flip_variable, fm_feasibility_2var,
                   interior_solution, is_in_sbar_plus, is_pd, kkt_residual,
                   preprocess_zero_diag, recession_check, reduce_nonpositive_row,
                   solve_sbar, solve_sbar_n1, solve_sbar_nk)
-from pppa.errors import (ClassificationFailed, InvariantViolation, PppaError,
+from pppa import reductions
+from pppa.errors import (ClassificationFailed, InvariantViolation, NotApplicable, PppaError,
                          PreconditionViolated, RecursionCapExceeded)
 from pppa.generate import GenSpec, gen_sbar_nk, gen_sbar_random
 from pppa.reductions import DropStep, FlipStep, ReductionTrace
@@ -524,11 +525,10 @@ def _frustrated_cycle(n):
     return make_instance(m, np.random.default_rng(n).uniform(-1.0, 1.0, n), np.full(n, 2.0))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a wrong optimal answer at the boundary of level 0; cause not known yet")
 def test_frustrated_cycle_is_solved_or_refused():
-    # Solved at its class level (0), this returns objective -2.36313 with
-    # KKT residual 0.196; the true optimum is -2.36758.
+    # Solved at its class level (0), the pivoting driver reaches objective
+    # -2.36313 with KKT residual 0.196 (the true optimum is -2.36758); the
+    # certified exit refuses that answer.
     inst = _frustrated_cycle(100)
     k = class_level(inst.m)
     assert k == 0
@@ -537,3 +537,54 @@ def test_frustrated_cycle_is_solved_or_refused():
     except PppaError:
         return
     assert out.status != "optimal" or kkt_residual(inst, out.x) <= 1e-8 * (1 + np.max(np.abs(inst.q)))
+
+
+# comparison(M) has kernel (1, 1, 1), so p_0 = 0: with q_0 < 0 and no upper
+# bound, index 0 blocks the start and is dropped, and the Schur complement
+# it leaves is diag(0.5, 0.5), two blocks.
+_SPLIT_BY_A_DROP = [[1.0, -0.5, -0.5], [-0.5, 0.75, 0.25], [-0.5, 0.25, 0.75]]
+
+
+@pytest.mark.parametrize("q, u", [
+    ((-1.0, 0.5, 0.3), (np.inf, 2.0, 2.0)),
+    ((-1.0, 0.5, -0.3), (np.inf, 2.0, 2.0)),
+    ((-2.0, 0.1, 0.3), (np.inf, 1.0, 3.0)),
+    ((-1.0, -0.5, 0.3), (np.inf, 0.5, np.inf)),
+    ((-3.0, 0.5, 0.3), (np.inf, 0.2, 2.0)),
+])
+def test_a_drop_that_splits_the_block_solves_each_part(monkeypatch, q, u):
+    splits = []
+    solve_blocks = reductions._solve_blocks
+
+    def spy(instance, solve, blocks=None):
+        if blocks is not None:
+            splits.append(len(blocks))
+        return solve_blocks(instance, solve, blocks)
+
+    monkeypatch.setattr(reductions, "_solve_blocks", spy)
+    inst = make_instance(_SPLIT_BY_A_DROP, q, u)
+    out = solve_sbar(inst)
+    ref = enumerate_active_sets(inst)
+    assert splits == [2]
+    assert out.status == ref.status == "optimal"
+    assert objectives_match(out.objective, ref.objective)
+
+
+def test_unchecked_matrix_outside_the_class_is_classification_failed():
+    inst = make_instance([[1.0, 2.0], [2.0, 1.0]], [0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ClassificationFailed) as info:
+        solve_sbar(inst, check=False)
+    assert isinstance(info.value.__cause__, NotApplicable)
+
+
+@pytest.mark.parametrize("answer", [
+    SolveOutcome(status="optimal", x=np.array([0.0, 0.0])),
+    SolveOutcome(status="unbounded", ray=Ray(direction=np.array([1.0, 0.0]))),
+])
+def test_an_uncertified_answer_is_refused(monkeypatch, answer):
+    # q = (-1, -1), u = (inf, 1): x = 0 is not a KKT point, and (1, 0) is
+    # no descent ray of M = I.
+    monkeypatch.setattr(reductions, "_solve_nk", lambda *args: answer)
+    inst = make_instance(np.eye(2), [-1.0, -1.0], [np.inf, 1.0])
+    with pytest.raises(InvariantViolation):
+        solve_sbar_nk(inst, 0)
