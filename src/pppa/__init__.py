@@ -15,12 +15,12 @@ from .factors import FactorState, factor_update
 from .generate import (GENERATOR_ID, GenSpec, gen_sbar_nk, gen_sbar_random,
                        gen_tridiagonal, generate)
 from .matrices import (SymMatrix, as_sym, comparison_matrix,
-                       irreducible_components, is_pd, is_psd, quadratic_objective,
-                       schur_complement, tridiag_solve)
+                       irreducible_components, is_pd, is_psd, schur_complement,
+                       tridiag_solve)
 from .oracle import (enumerate_active_sets, find_recession_direction, kkt_residual,
                      recession_check)
 from .pivoting import (ERROR, OPTIMAL, UNBOUNDED, ParamState, Partition,
-                       PivotDecision, QpInstance, Ray, SolveOutcome, Stats,
+                       PivotDecision, QpInstance, SolveOutcome, Stats,
                        apply_pivot, compute_bars, ratio_test_tau,
                        second_ratio_test, solution_at_tau, solve_pd, solve_psd)
 from .qpb import load_qpb, parse_qpb, save_qpb, write_qpb

@@ -11,6 +11,7 @@ import argparse
 import concurrent.futures
 import csv
 import functools
+import math
 import re
 import sys
 import time
@@ -18,7 +19,7 @@ import time
 from .classify import classify, is_in_sbar_plus
 from .errors import PppaError
 from .generate import GENERATOR_ID, GenSpec, generate
-from .oracle import ORACLE_MAX_N, enumerate_active_sets, kkt_residual, recession_check
+from .oracle import ORACLE_MAX_N, enumerate_active_sets, recession_check
 from .matrices import is_pd
 from .pivoting import OPTIMAL, UNBOUNDED, QpInstance, SolveOutcome
 from .qpb import load_qpb, save_qpb
@@ -39,6 +40,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
+
+
+def _tol(text: str) -> float:
+    """``--tol``: a positive finite number (``PPPA_TOL`` must be positive too)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text!r}")
+    return value
 
 
 def _method(text: str):
@@ -76,11 +88,10 @@ def _cmd_solve(args) -> int:
     # The solver answers optimal or unbounded with a ray, or raises.
     line = _outcome_line(out)
     if out.status == OPTIMAL:
-        residual = kkt_residual(instance, out.x)
-        line += f" kkt_residual={residual:.3e}"
+        line += f" kkt_residual={out.kkt_residual:.3e}"
         vector, label = out.x, "x"
     else:
-        vector, label = out.ray.direction, "ray"
+        vector, label = out.ray, "ray"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(_fmt(v) for v in vector) + "\n")
@@ -89,7 +100,7 @@ def _cmd_solve(args) -> int:
         print(f"{line} {label}=" + ",".join(_fmt(v) for v in vector))
     if out.status == UNBOUNDED:
         return EXIT_UNBOUNDED
-    if residual > kkt_threshold(instance.q, tol):
+    if out.kkt_residual > kkt_threshold(instance.q, tol):
         print("reason=kkt_residual_above_tolerance", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OPTIMAL
@@ -135,12 +146,11 @@ def _cmd_verify(args) -> int:
     print(f"status={out.status}")
     ok = True
     if out.status == OPTIMAL:
-        residual = kkt_residual(instance, out.x)
-        bound = kkt_threshold(instance.q, tol)
+        kkt_ok = out.kkt_residual <= kkt_threshold(instance.q, tol)
         print(f"objective={_fmt(out.objective)}")
-        print(f"kkt_residual={residual:.3e}")
-        print(f"kkt_ok={_bool(residual <= bound)}")
-        ok &= residual <= bound
+        print(f"kkt_residual={out.kkt_residual:.3e}")
+        print(f"kkt_ok={_bool(kkt_ok)}")
+        ok &= kkt_ok
     elif out.status == UNBOUNDED:
         valid = recession_check(instance, out.ray, tol)
         print(f"certificate_ok={_bool(valid)}")
@@ -170,9 +180,6 @@ def _bench_task(task) -> dict:
     start = time.perf_counter()
     out = solve_sbar_nk(instance, k if family == "sbar_nk" else 0)
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    residual = ""
-    if out.status == OPTIMAL:
-        residual = f"{kkt_residual(instance, out.x):.3e}"
     return {
         "n": n,
         "rho": rho,
@@ -181,7 +188,7 @@ def _bench_task(task) -> dict:
         "pivots": out.stats.pivots,
         "two_by_two_pivots": out.stats.two_by_two,
         "time_ms": f"{elapsed_ms:.3f}",
-        "kkt_residual": residual,
+        "kkt_residual": "" if out.kkt_residual is None else f"{out.kkt_residual:.3e}",
     }
 
 
@@ -219,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a QPB instance")
     p.add_argument("file")
     p.add_argument("--method", type=_method, default="auto")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tol, default=None)
     p.add_argument("--out", default=None, help="write the solution vector to this file")
     p.set_defaults(func=_cmd_solve)
 
@@ -242,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", type=_method, default="auto")
     p.add_argument("--oracle", action="store_true",
                    help=f"cross-check against the enumeration oracle (n <= {ORACLE_MAX_N})")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tol, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="timing/step-count harness, CSV output")
@@ -271,10 +278,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except PppaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
+    except (PppaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -45,6 +45,10 @@ class GenerationFailed(PppaError):
     """Instance generator gave up after its rejection-sampling budget."""
 
 
+class InvalidSpec(PppaError, ValueError):
+    """A generator recipe names an unknown family or an out-of-range size or density."""
+
+
 class RecursionCapExceeded(PppaError):
     """Requested class level k exceeds the configured recursion cap."""
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import is_in_sbar_plus, is_sbar_nk
-from .errors import GenerationFailed
+from .errors import GenerationFailed, InvalidSpec
 from .matrices import SymMatrix
 from .pivoting import QpInstance
 
@@ -46,11 +46,11 @@ class GenSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+            raise InvalidSpec(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.n < 1:
-            raise ValueError("n must be at least 1")
+            raise InvalidSpec("n must be at least 1")
         if not (0.0 < self.rho < 1.0):
-            raise ValueError("rho must lie strictly between 0 and 1")
+            raise InvalidSpec("rho must lie strictly between 0 and 1")
 
 
 def _rng(seed: int) -> np.random.Generator:

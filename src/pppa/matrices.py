@@ -463,8 +463,3 @@ def tridiag_solve(m, alpha, rhs) -> np.ndarray:
         pos += t - s
     return out[:, 0] if single else out
 
-
-def quadratic_objective(m, q: np.ndarray, x: np.ndarray) -> float:
-    """q'x + x'Mx/2, using the banded product when available."""
-    m = as_sym(m)
-    return float(q @ x + 0.5 * (x @ m.matvec(x)))

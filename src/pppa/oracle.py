@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from .errors import TooLarge
-from .pivoting import ERROR, OPTIMAL, UNBOUNDED, QpInstance, Ray, SolveOutcome, Stats
+from .pivoting import ERROR, OPTIMAL, UNBOUNDED, QpInstance, SolveOutcome
 from .tolerances import TOL_KERNEL_FLOOR, TOL_KKT, TOL_PSD, kkt_threshold
 
 ORACLE_MAX_N = 10
@@ -52,13 +52,13 @@ def kkt_residual(instance: QpInstance, x: np.ndarray) -> float:
     return viol
 
 
-def recession_check(instance: QpInstance, ray: Ray | np.ndarray, tol: float = TOL_KKT) -> bool:
+def recession_check(instance: QpInstance, ray: np.ndarray, tol: float = TOL_KKT) -> bool:
     """Validate an unboundedness certificate.
 
     Requires d >= 0, zero on finitely bounded coordinates, Md ~ 0 and
     q'd decisively negative (all after sup-norm normalization of d).
     """
-    d = np.asarray(ray.direction if isinstance(ray, Ray) else ray, dtype=float)
+    d = np.asarray(ray, dtype=float)
     if d.size != instance.n or not np.all(np.isfinite(d)):
         return False
     dmax = float(np.max(np.abs(d), initial=0.0))
@@ -125,9 +125,8 @@ def enumerate_active_sets(instance: QpInstance) -> SolveOutcome:
     n = instance.n
     if n > ORACLE_MAX_N:
         raise TooLarge(f"enumeration oracle is limited to n <= {ORACLE_MAX_N}, got {n}")
-    stats = Stats()
     if n == 0:
-        return SolveOutcome(status=OPTIMAL, x=np.zeros(0), objective=0.0, stats=stats)
+        return SolveOutcome(status=OPTIMAL, x=np.zeros(0), objective=0.0)
     a = instance.m.full()
     q, u = instance.q, instance.u
     qmax = float(np.max(np.abs(q), initial=0.0))
@@ -167,9 +166,8 @@ def enumerate_active_sets(instance: QpInstance) -> SolveOutcome:
             best_obj = obj
             best_x = x
     if best_x is not None:
-        return SolveOutcome(status=OPTIMAL, x=best_x, objective=best_obj, stats=stats)
+        return SolveOutcome(status=OPTIMAL, x=best_x, objective=best_obj)
     d = find_recession_direction(instance)
     if d is not None:
-        return SolveOutcome(status=UNBOUNDED, ray=Ray(direction=d), stats=stats)
-    return SolveOutcome(status=ERROR, reason="no KKT point and no recession direction found",
-                        stats=stats)
+        return SolveOutcome(status=UNBOUNDED, ray=d)
+    return SolveOutcome(status=ERROR, reason="no KKT point and no recession direction found")

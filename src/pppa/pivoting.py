@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import IterationCap, PreconditionViolated, SingularPivot
 from .factors import FactorState, factor_update
-from .matrices import SymMatrix, as_sym, quadratic_objective, tridiag_run_solve
+from .matrices import SymMatrix, as_sym, tridiag_run_solve
 from .tolerances import (TOL_PIVOT, TOL_PSD, TOL_RATIO, TOL_RAY_NEGATIVE, TOL_RAY_ZERO,
                          TOL_TAU_OPTIMAL)
 
@@ -56,7 +56,8 @@ class QpInstance:
         return self.m.n
 
     def objective(self, x: np.ndarray) -> float:
-        return quadratic_objective(self.m, self.q, x)
+        """q'x + x'Mx/2, using the banded product when available."""
+        return float(self.q @ x + 0.5 * (x @ self.m.matvec(x)))
 
 
 # Partition labels: at zero, basic (strictly between bounds), at the upper bound.
@@ -113,7 +114,7 @@ class Partition:
 
 @dataclass
 class Stats:
-    """Work counters accumulated over a solve (and merged across subsolves)."""
+    """Work counters of one solve; ``merge`` adds the counts of a ``solve_psd`` call it made."""
 
     pivots: int = 0
     two_by_two: int = 0
@@ -134,18 +135,14 @@ class Stats:
 
 
 @dataclass
-class Ray:
-    """Recession certificate: feasible direction of linear descent."""
-
-    direction: np.ndarray
-
-
-@dataclass
 class SolveOutcome:
+    """A solve's record; ``ray`` is the recession direction (feasible, linear descent)."""
+
     status: str
     x: np.ndarray | None = None
     objective: float | None = None
-    ray: Ray | None = None
+    ray: np.ndarray | None = None
+    kkt_residual: float | None = None
     stats: Stats = field(default_factory=Stats)
     reason: str | None = None
 
@@ -627,7 +624,7 @@ def solve_psd(instance: QpInstance, p, *, callback=None,
                     d[(d < 0.0) & (d > -TOL_RAY_NEGATIVE)] = 0.0
                     if callback is not None:
                         callback(state, tau_new, None)
-                    return SolveOutcome(status=UNBOUNDED, ray=Ray(direction=d), stats=stats)
+                    return SolveOutcome(status=UNBOUNDED, ray=d, stats=stats)
                 decision = PivotDecision(kind=sub_kind, i_bar=i_bar, j_bar=j_bar,
                                          tau_new=tau_new)
 

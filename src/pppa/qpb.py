@@ -276,7 +276,11 @@ def _fill(n: int, lo: np.ndarray, hi: np.ndarray, v: np.ndarray, structure) -> S
 
 def load_qpb(path) -> tuple[QpInstance, dict]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_qpb(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"file is not UTF-8 text: {exc}") from exc
+    return parse_qpb(text)
 
 
 def save_qpb(path, instance: QpInstance, header: dict | None = None) -> None:

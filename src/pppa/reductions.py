@@ -16,7 +16,7 @@ with a two-variable linear feasibility check for the interior case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -28,8 +28,8 @@ from .errors import (ClassificationFailed, InvariantViolation, NotApplicable,
 from .matrices import (SymMatrix, as_sym, comparison_matrix,
                        irreducible_components, _pivoted_cholesky)
 from .oracle import find_recession_direction, kkt_residual, recession_check
-from .pivoting import (OPTIMAL, UNBOUNDED, QpInstance, Ray, SolveOutcome,
-                       Stats, blocked_start, solve_psd)
+from .pivoting import (OPTIMAL, UNBOUNDED, QpInstance, SolveOutcome, Stats, blocked_start,
+                       solve_psd)
 from .tolerances import TOL_FM, TOL_KKT, TOL_LIFT_RAY, TOL_PIVOT, TOL_ZERO_ROW, kkt_threshold
 
 K_CAP = 3
@@ -118,15 +118,14 @@ def _lift_outcome(step, out: SolveOutcome) -> SolveOutcome:
     if out.status == OPTIMAL:
         out.x = step.lift_point(out.x)
     else:
-        out.ray = Ray(direction=step.lift_ray(out.ray.direction))
+        out.ray = step.lift_ray(out.ray)
     return out
 
 
 def _finish(instance: QpInstance, out: SolveOutcome) -> SolveOutcome:
-    """The drivers' one exit: clamp an optimal x into the box and price it."""
+    """Clamp an optimal x into the box; :func:`solve_sbar_nk`'s exit prices it once."""
     if out.status == OPTIMAL:
         out.x = np.minimum(np.maximum(out.x, 0.0), instance.u)
-        out.objective = instance.objective(out.x)
     return out
 
 
@@ -243,27 +242,24 @@ def _solve_blocks(instance: QpInstance, solve, blocks=None) -> SolveOutcome:
         blocks = irreducible_components(instance.m)
     if len(blocks) == 1:
         return solve(instance)
-    stats = Stats()
     x = np.empty(instance.n)
     for blk in blocks:
         out = solve(_restrict(instance, blk))
-        stats.merge(out.stats)
         if out.status == UNBOUNDED:
-            ray = Ray(direction=np.zeros(instance.n))
-            ray.direction[blk] = out.ray.direction
-            return SolveOutcome(status=UNBOUNDED, ray=ray, stats=stats)
+            ray = np.zeros(instance.n)
+            ray[blk] = out.ray
+            return SolveOutcome(status=UNBOUNDED, ray=ray)
         x[blk] = out.x
-    return SolveOutcome(status=OPTIMAL, x=x, stats=stats)
+    return SolveOutcome(status=OPTIMAL, x=x)
 
 
-def _resolve_sbar(instance: QpInstance, anchor: float, q_tol: float) -> SolveOutcome:
-    """Pivoting driver for one irreducible comparison-psd block.
+def _resolve_sbar(instance: QpInstance, anchor: float, q_tol: float, stats: Stats) -> SolveOutcome:
+    """Pivoting driver for one irreducible comparison-psd block; counts into ``stats``.
 
     Every zero/singularity threshold anchors at ``anchor``, the scale of the
     block the driver was entered with, so roundoff left by a Schur-complement
     chain registers as zero.  A zero-diagonal variable is unbounded when its
     cost is below ``-q_tol``."""
-    stats = Stats()
     trace = ReductionTrace(original_n=instance.n)
     work = instance
     cached_d = None
@@ -271,24 +267,20 @@ def _resolve_sbar(instance: QpInstance, anchor: float, q_tol: float) -> SolveOut
     for _ in range(budget):
         work, fix_steps, ray = preprocess_zero_diag(work, scale=anchor, q_tol=q_tol)
         if ray is not None:
-            out = SolveOutcome(status=UNBOUNDED, ray=Ray(direction=ray), stats=stats)
-            return _lift_outcome(trace, out)
+            return _lift_outcome(trace, SolveOutcome(status=UNBOUNDED, ray=ray))
         if fix_steps:
             trace.steps.extend(fix_steps)
             cached_d = None
         if work.n == 0:
-            out = SolveOutcome(status=OPTIMAL, x=np.zeros(0), stats=stats)
-            return _lift_outcome(trace, out)
+            return _lift_outcome(trace, SolveOutcome(status=OPTIMAL, x=np.zeros(0)))
 
         if cached_d is None and trace.steps:
             # A fix or a drop removed variables, which can split the block;
             # a flip keeps the sparsity pattern.
             blocks = irreducible_components(work.m)
             if len(blocks) > 1:
-                out = _solve_blocks(work, lambda blk: _resolve_sbar(blk, anchor, q_tol),
-                                   blocks)
-                stats.merge(out.stats)
-                out.stats = stats
+                out = _solve_blocks(
+                    work, lambda blk: _resolve_sbar(blk, anchor, q_tol, stats), blocks)
                 return _lift_outcome(trace, out)
 
         if cached_d is None:
@@ -298,14 +290,14 @@ def _resolve_sbar(instance: QpInstance, anchor: float, q_tol: float) -> SolveOut
         if blocked.size == 0:
             out = solve_psd(work, p, scale=anchor)
             stats.merge(out.stats)
-            out.stats = stats
             return _lift_outcome(trace, out)
         droppable = [int(i) for i in blocked if not np.isfinite(work.u[i])]
         i = droppable[0] if droppable else int(blocked[0])
         work, step = reduce_nonpositive_row(work, p, i, scale=anchor)
         trace.steps.append(step)
         stats.reductions += 1
-        if isinstance(step, DropStep):
+        if droppable:
+            # A drop changes the matrix; a flip keeps comparison(M) and so d.
             cached_d = None
     raise InvariantViolation("reduction loop exceeded its termination bound")
 
@@ -509,14 +501,13 @@ def interior_solution(instance: QpInstance) -> np.ndarray | None:
 # Fixed-variable drivers for the k-weakly dominant classes.
 
 
-def _fixing_driver(instance: QpInstance, subsolve) -> SolveOutcome:
+def _fixing_driver(instance: QpInstance, subsolve, stats: Stats) -> SolveOutcome:
     """Fix each variable at each bound, test the optimality certificates,
-    then fall back to the interior stationarity check."""
+    then fall back to the interior stationarity check; counts into ``stats``."""
     m, q, u = instance.m, instance.q, instance.u
     n = m.n
-    stats = Stats()
     if n == 0:
-        return SolveOutcome(status=OPTIMAL, x=np.zeros(0), stats=stats)
+        return SolveOutcome(status=OPTIMAL, x=np.zeros(0))
     tol_cert = kkt_threshold(q)
     for i in range(n):
         keep = np.concatenate([np.arange(i), np.arange(i + 1, n)])
@@ -524,27 +515,25 @@ def _fixing_driver(instance: QpInstance, subsolve) -> SolveOutcome:
         sub_m = m.submatrix(keep)
         out = subsolve(QpInstance(sub_m, q[keep], u[keep]))
         stats.subproblems += 1
-        stats.merge(out.stats)
         if out.status == UNBOUNDED or q[i] + float(row @ out.x) >= -tol_cert:
-            return _lift_outcome(FixStep(i, 0.0), replace(out, stats=stats))
+            return _lift_outcome(FixStep(i, 0.0), out)
         if np.isfinite(u[i]):
             out = subsolve(QpInstance(sub_m, q[keep] + u[i] * row, u[keep]))
             stats.subproblems += 1
-            stats.merge(out.stats)
             # Upper-bound certificate is the KKT sign condition at x_i = u_i,
             # which includes the m_ii u_i term of the gradient.
             if (out.status == UNBOUNDED
                     or q[i] + m.value(i, i) * u[i] + float(row @ out.x) <= tol_cert):
-                return _lift_outcome(FixStep(i, float(u[i])), replace(out, stats=stats))
+                return _lift_outcome(FixStep(i, float(u[i])), out)
     stats.subproblems += 1
     x = interior_solution(instance)
     if x is not None:
-        return SolveOutcome(status=OPTIMAL, x=x, stats=stats)
+        return SolveOutcome(status=OPTIMAL, x=x)
     d = find_recession_direction(instance)
     if d is None:
         raise InvariantViolation("no bound certificate, the stationary system is infeasible "
                                  "and no recession direction was found")
-    return SolveOutcome(status=UNBOUNDED, ray=Ray(direction=d), stats=stats)
+    return SolveOutcome(status=UNBOUNDED, ray=d)
 
 
 def solve_sbar_n1(instance: QpInstance, *, check: bool = False) -> SolveOutcome:
@@ -564,26 +553,33 @@ def solve_sbar_nk(instance: QpInstance, k: int, *, check: bool = False) -> Solve
     Every block and subproblem judges a zero-diagonal ray at the q scale of
     ``instance``, as :func:`recession_check` judges the ray it returns.
 
-    The answer is certified: ``optimal`` only with a KKT residual within
-    :func:`kkt_threshold`, ``unbounded`` only with a ray that
+    The answer is one record, completed here: ``stats`` counts the whole
+    solve, and an optimal x is priced (``objective``) and certified
+    (``kkt_residual``) once.  ``optimal`` comes only with a KKT residual
+    within :func:`kkt_threshold`, ``unbounded`` only with a ray that
     :func:`recession_check` accepts; any other answer raises
     :class:`InvariantViolation`."""
     q_tol = kkt_threshold(instance.q)
+    stats = Stats()
     try:
-        out = _solve_nk(instance, k, check, q_tol)
+        out = _solve_nk(instance, k, check, q_tol, stats)
     except NotApplicable as exc:
         raise ClassificationFailed(str(exc)) from exc
+    out.stats = stats
     if out.status == OPTIMAL:
-        residual = kkt_residual(instance, out.x)
-        if residual > q_tol:
-            raise InvariantViolation(f"optimal answer has KKT residual {residual:.3e}, "
+        out.objective = instance.objective(out.x)
+        out.kkt_residual = kkt_residual(instance, out.x)
+        if out.kkt_residual > q_tol:
+            raise InvariantViolation(f"optimal answer has KKT residual {out.kkt_residual:.3e}, "
                                      f"above its tolerance {q_tol:.3e}")
     elif not recession_check(instance, out.ray):
         raise InvariantViolation("unbounded answer's ray fails recession_check")
     return out
 
 
-def _solve_nk(instance: QpInstance, k: int, check: bool, q_tol: float) -> SolveOutcome:
+def _solve_nk(instance: QpInstance, k: int, check: bool, q_tol: float,
+              stats: Stats) -> SolveOutcome:
+    """:func:`solve_sbar_nk` below its exit: counts into ``stats`` and leaves x unpriced."""
     if k > K_CAP:
         raise RecursionCapExceeded(f"k={k} exceeds the recursion cap {K_CAP}")
 
@@ -596,7 +592,8 @@ def _solve_nk(instance: QpInstance, k: int, check: bool, q_tol: float) -> SolveO
         else:
             level = 0 if k <= 0 or is_in_sbar_plus(block.m) else k
         if level == 0:
-            return _resolve_sbar(block, block.m.scale(), q_tol)
-        return _fixing_driver(block, lambda sub: _solve_nk(sub, level - 1, False, q_tol))
+            return _resolve_sbar(block, block.m.scale(), q_tol, stats)
+        return _fixing_driver(block, lambda sub: _solve_nk(sub, level - 1, False, q_tol, stats),
+                              stats)
 
     return _finish(instance, _solve_blocks(instance, solve_block))

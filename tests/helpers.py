@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from pppa import QpInstance, SymMatrix
+from pppa import QpInstance, SymMatrix, comparison_matrix
 
 
 def random_symmetric(rng, n, spread=1.0):
@@ -121,3 +121,35 @@ def mixed_level_blocks():
     a[6:, 6:] = 0.3
     np.fill_diagonal(a, 1.0)
     return make_instance(a, -np.ones(9), np.full(9, 2.0))
+
+
+def cyclic_family(n, seeds=range(8), fractions=(0.1, 0.0)):
+    """Frustrated signed n-cycles shifted to level 1, one per (seed, fraction).
+
+    B is a signed n-cycle whose sign product makes it frustrated, plus a
+    small random diagonal.  With lambda the least eigenvalue and C_B the
+    comparison matrix, M = B + (-lambda(B) + f (lambda(B) - lambda(C_B))) I
+    is psd with comparison(M) indefinite: f = 0.1 is the strict variant
+    (M positive definite), f = 0 the boundary one (M singular).  Removing
+    one index leaves a path, which is comparison-psd, so M is at level 1.
+    q ~ U(-1, 1); half of the bounds are infinite, the rest ~ U(0.5, 2).
+    """
+    out = []
+    for seed in seeds:
+        for f in fractions:
+            rng = np.random.default_rng([n, seed])
+            w = rng.uniform(0.5, 1.5, n)
+            s = rng.choice([-1.0, 1.0], n)
+            if np.prod(-s) > 0:
+                s[0] = -s[0]
+            a = np.zeros((n, n))
+            nxt = (np.arange(n) + 1) % n
+            a[np.arange(n), nxt] = a[nxt, np.arange(n)] = s * w
+            b = a + np.diag(rng.uniform(0.0, 0.2, n))
+            lb = np.linalg.eigvalsh(b)[0]
+            lc = np.linalg.eigvalsh(comparison_matrix(b).full())[0]
+            q = rng.uniform(-1.0, 1.0, n)
+            u = rng.uniform(0.5, 2.0, n)
+            u[rng.permutation(n)[:n // 2]] = np.inf
+            out.append(make_instance(b + (-lb + f * (lb - lc)) * np.eye(n), q, u))
+    return out

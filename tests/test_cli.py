@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pppa import QpInstance, SymMatrix, classify, load_qpb, save_qpb
-from pppa import cli, reductions
+from pppa import cli, oracle, reductions
 from pppa.cli import main
 
 from helpers import mixed_level_blocks
@@ -361,3 +361,59 @@ def test_bench_sbar_nk_solves_at_its_level(tmp_path):
     for row in rows:
         assert row[3] == "optimal"
         assert float(row[7]) <= 1e-12
+
+
+def test_an_optimal_solve_evaluates_the_kkt_residual_once(n1_file, capsys, monkeypatch):
+    # The solver's exit measures the residual; the CLI prints that record.
+    calls = []
+    original = oracle.kkt_residual
+
+    def counting(instance, x):
+        calls.append(x)
+        return original(instance, x)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "pppa" or name.startswith("pppa.")) and \
+                getattr(module, "kkt_residual", None) is original:
+            monkeypatch.setattr(module, "kkt_residual", counting)
+    assert main(["solve", n1_file]) == 0
+    assert "kkt_residual=" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_a_directory_as_input_is_error(tmp_path, capsys):
+    assert main(["solve", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_directory_as_out_is_error(n1_file, tmp_path, capsys):
+    assert main(["solve", n1_file, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_file_that_is_not_utf8_is_error(tmp_path, capsys):
+    path = tmp_path / "bad.qpb"
+    path.write_bytes(N1_TEXT.encode().replace(b"1 1 2.0", b"1 1 2.0\xff"))
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan", "abc"])
+def test_a_tolerance_that_is_not_positive_and_finite_is_usage_error(n1_file, capsys,
+                                                                       command, tol):
+    assert main([command, n1_file, "--tol", tol]) == 64
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--family", "sbar_random", "--n", "0"],
+    ["generate", "--family", "sbar_random", "--n", "5", "--rho", "1.5"],
+    ["bench", "--family", "sbar_random", "--n-list", "0"],
+])
+def test_an_invalid_generator_recipe_is_error(tmp_path, capsys, argv):
+    dest = str(tmp_path / "out")
+    argv = argv + (["--csv", dest] if argv[0] == "bench" else ["--out", dest])
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")

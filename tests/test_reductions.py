@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from pppa import (QpInstance, Ray, SolveOutcome, SymMatrix, build_parametric_vector,
+from pppa import (QpInstance, SolveOutcome, SymMatrix, build_parametric_vector,
                   class_level, comparison_matrix, enumerate_active_sets,
                   find_dominance_vector, flip_variable, fm_feasibility_2var,
                   interior_solution, is_in_sbar_plus, is_pd, kkt_residual,
@@ -579,7 +579,7 @@ def test_unchecked_matrix_outside_the_class_is_classification_failed():
 
 @pytest.mark.parametrize("answer", [
     SolveOutcome(status="optimal", x=np.array([0.0, 0.0])),
-    SolveOutcome(status="unbounded", ray=Ray(direction=np.array([1.0, 0.0]))),
+    SolveOutcome(status="unbounded", ray=np.array([1.0, 0.0])),
 ])
 def test_an_uncertified_answer_is_refused(monkeypatch, answer):
     # q = (-1, -1), u = (inf, 1): x = 0 is not a KKT point, and (1, 0) is
@@ -588,3 +588,28 @@ def test_an_uncertified_answer_is_refused(monkeypatch, answer):
     inst = make_instance(np.eye(2), [-1.0, -1.0], [np.inf, 1.0])
     with pytest.raises(InvariantViolation):
         solve_sbar_nk(inst, 0)
+
+
+@pytest.mark.parametrize("level", [0, 2])
+def test_the_exit_prices_and_certifies_the_answer_it_returns(level):
+    # Level 0 reaches the pivoting driver directly; level 2 goes through the
+    # fixing driver on the first block of mixed_level_blocks.
+    if level == 0:
+        rng = np.random.default_rng(7)
+        inst = make_instance(random_sbar(rng, 8), rng.uniform(-3.0, 3.0, 8), np.full(8, 1.5))
+    else:
+        inst = mixed_level_blocks()
+    out = solve_sbar_nk(inst, level)
+    assert out.status == "optimal"
+    assert out.kkt_residual == kkt_residual(inst, out.x)
+    assert out.objective == inst.objective(out.x)
+    if level == 2:
+        assert out.stats.subproblems > 0
+
+
+def test_an_unbounded_ray_is_an_array_recession_check_accepts():
+    inst = make_instance([[1.0, -1.0], [-1.0, 1.0]], [-1.0, 0.5], [np.inf, np.inf])
+    out = solve_sbar_nk(inst, 0)
+    assert out.status == "unbounded"
+    assert isinstance(out.ray, np.ndarray) and recession_check(inst, out.ray)
+    assert out.objective is None and out.kkt_residual is None
