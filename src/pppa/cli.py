@@ -43,7 +43,7 @@ def _fmt(v: float) -> str:
 
 
 def _tol(text: str) -> float:
-    """``--tol``: a positive finite number (``PPPA_TOL`` must be positive too)."""
+    """``--tol``: a positive finite number, as ``PPPA_TOL`` must be."""
     try:
         value = float(text)
     except ValueError:
@@ -51,6 +51,17 @@ def _tol(text: str) -> float:
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text!r}")
     return value
+
+
+def _list_of(convert, what: str):
+    """An argparse type for a comma-separated list of ``convert`` values."""
+    def parse(text: str) -> list:
+        try:
+            return [convert(t) for t in text.split(",") if t]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list of {what}, got {text!r}") from None
+    return parse
 
 
 def _method(text: str):
@@ -197,12 +208,10 @@ CSV_COLUMNS = ["n", "rho", "seed", "status", "pivots", "two_by_two_pivots",
 
 
 def _cmd_bench(args) -> int:
-    n_list = [int(t) for t in args.n_list.split(",") if t]
-    rho_list = [float(t) for t in args.rho_list.split(",") if t]
     tasks = []
     idx = 0
-    for n in n_list:
-        for rho in rho_list:
+    for n in args.n_list:
+        for rho in args.rho_list:
             for _ in range(args.reps):
                 tasks.append((args.family, n, rho, args.seed + idx, args.k))
                 idx += 1
@@ -254,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="timing/step-count harness, CSV output")
     p.add_argument("--family", required=True, choices=("sbar_random", "tridiagonal", "sbar_nk"))
-    p.add_argument("--n-list", required=True)
-    p.add_argument("--rho-list", default="0.2")
+    p.add_argument("--n-list", type=_list_of(int, "integers"), required=True)
+    p.add_argument("--rho-list", type=_list_of(float, "reals"), default="0.2")
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=1)

@@ -89,6 +89,24 @@ def _parse_real(token: str, lineno: int, allow_inf: bool = False) -> float:
     raise ParseError(f"expected {expected}, got {token!r}", line=lineno)
 
 
+def _parse_reals(tokens: list, lineno: int, allow_inf: bool = False) -> np.ndarray:
+    """:func:`_parse_real` over a record's tokens, converted in bulk.
+
+    On a token ``float`` rejects, or a value outside the record's range,
+    the per-token loop runs again and raises its error for the first
+    such token.
+    """
+    try:
+        vals = np.array(list(map(float, tokens)), dtype=float)
+    except ValueError:
+        vals = None
+    if vals is not None:
+        finite = np.isfinite(vals)
+        if finite.all() or (allow_inf and np.all(finite | (vals == math.inf))):
+            return vals
+    return np.array([_parse_real(t, lineno, allow_inf) for t in tokens], dtype=float)
+
+
 def parse_qpb(text: str) -> tuple[QpInstance, dict]:
     """Parse QPB text; returns (instance, header dict)."""
     return _parse(text, bulk=True)
@@ -145,13 +163,13 @@ def _parse(text: str, bulk: bool) -> tuple[QpInstance, dict]:
         elif key in ("q", "u"):
             if n is None:
                 raise ParseError(f"{key} section before n", line=lineno)
-            vals = [_parse_real(t, lineno, allow_inf=key == "u") for t in tokens[1:]]
+            vals = _parse_reals(tokens[1:], lineno, allow_inf=key == "u")
             if len(vals) != n:
                 raise ParseError(f"{key} has {len(vals)} values, expected {n}", line=lineno)
             if key == "q":
-                q = np.array(vals)
+                q = vals
             else:
-                u = np.array(vals)
+                u = vals
         elif key == "m":
             if n is None or q is None or u is None:
                 raise ParseError("m section before n/q/u", line=lineno)

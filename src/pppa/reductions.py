@@ -8,10 +8,11 @@ is logged as a trace step so solutions and recession rays of the
 reduced problem lift back to the original coordinates.
 
 The level-k driver splits M into irreducible blocks and classifies each
-block once: a comparison-psd block goes to the pivoting driver, any
-other block fixes one variable at each bound, solves the reduced
-problems one level down, tests the bound certificates, and finishes
-with a two-variable linear feasibility check for the interior case.
+block once: a comparison-psd block goes to the pivoting driver.  Any
+other block certifies before it enumerates: it tries the interior
+stationary point (a two-variable linear feasibility check), then a
+recession ray, and only then fixes one variable at each bound, solves
+the reduced problems one level down and tests the bound certificates.
 """
 
 from __future__ import annotations
@@ -443,11 +444,12 @@ def fm_feasibility_2var(eq_a, eq_b, ineq_a=None, ineq_b=None,
 
 
 # ---------------------------------------------------------------------------
-# Interior stationary-point check (the final step of the k-level drivers).
+# Interior stationary-point check (the first step of the k-level drivers).
 
 
-def _interior_block(instance: QpInstance) -> np.ndarray | None:
-    """Feasible solution of q + Mx = 0, 0 <= x <= u on one block, or None.
+def _interior_block(instance: QpInstance):
+    """Feasible solution of q + Mx = 0, 0 <= x <= u on one block, or None,
+    and the factorization ``(l, perm, rank)`` of M it came from.
 
     One pivoted Cholesky of M picks alpha, its first n-2 pivots (a
     positive definite block by construction), and leaves the other two
@@ -457,11 +459,12 @@ def _interior_block(instance: QpInstance) -> np.ndarray | None:
     m, q, u = instance.m, instance.q, instance.u
     n = m.n
     a = m.full()
+    chol = _pivoted_cholesky(a, TOL_PIVOT * m.scale())
     if n <= 2:
-        return fm_feasibility_2var(a, -q, lower=np.zeros(n), upper=u, tol=TOL_KKT)
-    l, perm, rank = _pivoted_cholesky(a, TOL_PIVOT * m.scale())
+        return fm_feasibility_2var(a, -q, lower=np.zeros(n), upper=u, tol=TOL_KKT), chol
+    l, perm, rank = chol
     if rank < n - 2:
-        return None
+        return None, chol
     alpha, beta = perm[:n - 2], perm[n - 2:]
     factor = (l[:n - 2, :n - 2], True)
     mab = a[np.ix_(alpha, beta)]
@@ -478,11 +481,11 @@ def _interior_block(instance: QpInstance) -> np.ndarray | None:
     x_beta = fm_feasibility_2var(eq_a, eq_b, g[finite], h[finite],
                                  lower=np.zeros(2), upper=u[beta], tol=TOL_KKT)
     if x_beta is None:
-        return None
+        return None, chol
     x = np.empty(n)
     x[beta] = x_beta
     x[alpha] = -(sol_q + sol_b @ x_beta)
-    return np.minimum(np.maximum(x, 0.0), u)
+    return np.minimum(np.maximum(x, 0.0), u), chol
 
 
 def interior_solution(instance: QpInstance) -> np.ndarray | None:
@@ -490,7 +493,7 @@ def interior_solution(instance: QpInstance) -> np.ndarray | None:
     blocks = irreducible_components(instance.m)
     x = np.empty(instance.n)
     for blk in blocks:
-        xb = _interior_block(_restrict(instance, blk))
+        xb, _ = _interior_block(_restrict(instance, blk))
         if xb is None:
             return None
         x[blk] = xb
@@ -502,34 +505,52 @@ def interior_solution(instance: QpInstance) -> np.ndarray | None:
 
 
 def _fixing_driver(instance: QpInstance, subsolve, stats: Stats) -> SolveOutcome:
-    """Fix each variable at each bound, test the optimality certificates,
-    then fall back to the interior stationarity check; counts into ``stats``."""
+    """Certify before enumerating; counts into ``stats``.
+
+    One pivoted Cholesky of the block serves all three stages.  The
+    interior step comes first (a feasible stationary x of a convex block
+    is optimal) and counts as one subproblem.  A ray can exist only on a
+    singular block with an infinite bound, so only there is the recession
+    direction sought next.  Then each variable is fixed at each bound and
+    the reduced problem solved one level down, until a bound certificate
+    holds.  On a full-rank block the fixes go in order of how far
+    x0 = -M^{-1} q breaks their bound (violated bounds first, stable);
+    a singular block keeps index order.  At most 2n+1 subproblems.
+    """
     m, q, u = instance.m, instance.q, instance.u
     n = m.n
     if n == 0:
         return SolveOutcome(status=OPTIMAL, x=np.zeros(0))
-    tol_cert = kkt_threshold(q)
-    for i in range(n):
-        keep = np.concatenate([np.arange(i), np.arange(i + 1, n)])
-        row = m.row(i)[keep]
-        sub_m = m.submatrix(keep)
-        out = subsolve(QpInstance(sub_m, q[keep], u[keep]))
-        stats.subproblems += 1
-        if out.status == UNBOUNDED or q[i] + float(row @ out.x) >= -tol_cert:
-            return _lift_outcome(FixStep(i, 0.0), out)
-        if np.isfinite(u[i]):
-            out = subsolve(QpInstance(sub_m, q[keep] + u[i] * row, u[keep]))
-            stats.subproblems += 1
-            # Upper-bound certificate is the KKT sign condition at x_i = u_i,
-            # which includes the m_ii u_i term of the gradient.
-            if (out.status == UNBOUNDED
-                    or q[i] + m.value(i, i) * u[i] + float(row @ out.x) <= tol_cert):
-                return _lift_outcome(FixStep(i, float(u[i])), out)
     stats.subproblems += 1
-    x = interior_solution(instance)
+    x, (l, perm, rank) = _interior_block(instance)
     if x is not None:
         return SolveOutcome(status=OPTIMAL, x=x)
-    d = find_recession_direction(instance)
+    ray_tried = rank < n and not np.all(np.isfinite(u))
+    if ray_tried:
+        d = find_recession_direction(instance)
+        if d is not None:
+            return SolveOutcome(status=UNBOUNDED, ray=d)
+    fixes = [(i, upper) for i in range(n) for upper in (False, True)
+             if not upper or np.isfinite(u[i])]
+    if rank == n:
+        x0 = np.empty(n)
+        x0[perm] = -scipy.linalg.cho_solve((l, True), q[perm], check_finite=False)
+        below, above = np.maximum(-x0, 0.0), np.maximum(x0 - u, 0.0)
+        fixes.sort(key=lambda fix: -(above if fix[1] else below)[fix[0]])
+    tol_cert = kkt_threshold(q)
+    for i, upper in fixes:
+        keep = np.delete(np.arange(n), i)
+        row = m.row(i)[keep]
+        sub_q = q[keep] + u[i] * row if upper else q[keep]
+        out = subsolve(QpInstance(m.submatrix(keep), sub_q, u[keep]))
+        stats.subproblems += 1
+        # The certificate is the KKT sign condition of x_i at its bound; at
+        # u_i the gradient includes the m_ii u_i term.
+        if (out.status == UNBOUNDED
+                or (upper and q[i] + m.value(i, i) * u[i] + float(row @ out.x) <= tol_cert)
+                or (not upper and q[i] + float(row @ out.x) >= -tol_cert)):
+            return _lift_outcome(FixStep(i, float(u[i]) if upper else 0.0), out)
+    d = None if ray_tried else find_recession_direction(instance)
     if d is None:
         raise InvariantViolation("no bound certificate, the stationary system is infeasible "
                                  "and no recession direction was found")
@@ -548,8 +569,10 @@ def solve_sbar_nk(instance: QpInstance, k: int, *, check: bool = False) -> Solve
     if k <= 0 or it is comparison-psd and at k otherwise; with ``check``, at
     its ``class_level`` up to k, or it raises :class:`ClassificationFailed`.
     A level-0 block goes to the pivoting driver, anchored at the block's own
-    scale (the blocks are independent problems); any other block fixes one
-    variable at each bound and solves those subproblems one level down.
+    scale (the blocks are independent problems); any other block goes to
+    the fixing driver, which tries the interior point and a recession ray
+    before it fixes one variable at each bound and solves those
+    subproblems one level down.
     Every block and subproblem judges a zero-diagonal ray at the q scale of
     ``instance``, as :func:`recession_check` judges the ray it returns.
 

@@ -7,6 +7,7 @@ the PPPA_TOL environment variable, or per call through function
 arguments; the linear-algebra thresholds are fixed.
 """
 
+import math
 import os
 
 import numpy as np
@@ -73,8 +74,9 @@ def default_kkt_tol() -> float:
         return TOL_KKT
     try:
         value = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"PPPA_TOL is not a number: {raw!r}") from exc
-    if value <= 0:
-        raise ValueError(f"PPPA_TOL must be positive, got {value}")
+    except ValueError:
+        value = math.nan
+    # Written so that NaN fails it too.
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"PPPA_TOL must be a positive finite number, got {raw!r}")
     return value

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from pppa import QpInstance, SymMatrix, comparison_matrix
+from pppa import QpInstance, SymMatrix, comparison_matrix, is_in_sbar_plus, is_sbar_nk
 
 
 def random_symmetric(rng, n, spread=1.0):
@@ -153,3 +153,26 @@ def cyclic_family(n, seeds=range(8), fractions=(0.1, 0.0)):
             u[rng.permutation(n)[:n // 2]] = np.inf
             out.append(make_instance(b + (-lb + f * (lb - lc)) * np.eye(n), q, u))
     return out
+
+
+def laplacian_bump(rng, n):
+    """A Laplacian plus a rank-one bump v v' with v'1 = 0, just past comparison-psd.
+
+    The bump doubles until the matrix leaves comparison-psd; the all-ones
+    kernel vector survives it, so with u = inf and q'1 = -1 the problem is
+    unbounded.  None when that first matrix is not at level 1.
+    """
+    base = dyadic_laplacian(rng, n).full()
+    v = rng.uniform(-1.0, 1.0, size=n)
+    v -= v.mean()
+    eps = 0.125 * float(np.max(np.diag(base))) / float(np.max(np.abs(v))) ** 2
+    for _ in range(40):
+        m = SymMatrix.from_dense(base + eps * np.outer(v, v))
+        if not is_in_sbar_plus(m):
+            if not is_sbar_nk(m, 1):
+                return None
+            q = rng.uniform(-3.0, 3.0, size=n)
+            q -= (q.sum() + 1.0) / n
+            return QpInstance(m, q, np.full(n, np.inf))
+        eps *= 2.0
+    return None

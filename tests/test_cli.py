@@ -231,6 +231,15 @@ m 3
 """
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_pppa_tol_env_that_is_not_finite_is_rejected(n1_file, monkeypatch, value):
+    monkeypatch.setenv("PPPA_TOL", value)
+    with pytest.raises(ValueError, match="PPPA_TOL"):
+        main(["verify", n1_file])
+    with pytest.raises(ValueError, match="PPPA_TOL"):
+        main(["solve", n1_file])
+
+
 @pytest.mark.parametrize("q, u, m, line", [
     ("nan -1", "1 1", "0.5", 3),
     ("-1 inf", "1 1", "0.5", 3),
@@ -405,6 +414,18 @@ def test_a_tolerance_that_is_not_positive_and_finite_is_usage_error(n1_file, cap
                                                                        command, tol):
     assert main([command, n1_file, "--tol", tol]) == 64
     assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [("--n-list", "abc"), ("--n-list", "4,x"),
+                                           ("--n-list", "2.5"), ("--rho-list", "0.2,abc")])
+def test_a_bench_list_token_that_is_not_a_number_is_usage_error(tmp_path, capsys,
+                                                                option, value):
+    argv = ["bench", "--family", "sbar_random", "--n-list", "4", "--csv", str(tmp_path / "b.csv")]
+    assert main(argv + [option, value]) == 64
+    err = capsys.readouterr().err
+    assert option in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "b.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

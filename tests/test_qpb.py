@@ -342,3 +342,41 @@ class TestBulkMatchesLoop:
             parse_qpb(text)
         assert err.value.line == 9
         assert _bits(parse_qpb, text) == _bits(_parse_by_loop, text)
+
+
+def _reals_by_loop(tokens, lineno, allow_inf=False):
+    return np.array([qpb._parse_real(t, lineno, allow_inf) for t in tokens], dtype=float)
+
+
+def _with_record(key, record):
+    """A two-variable file whose q (line 3) or u (line 4) record is ``record``."""
+    records = {"q": "-1 -1", "u": "1 1", key: record}
+    return f"qpb 1\nn 2\nq {records['q']}\nu {records['u']}\nm 1\n1 1 1.0\n"
+
+
+class TestVectorRecords:
+    """The q and u records convert in bulk and answer exactly as the per-token loop."""
+
+    BAD = [("q", "1 inf"), ("q", "-inf 1"), ("q", "nan 1"), ("u", "nan 1"), ("u", "1 -inf"),
+           ("q", "1e 1"), ("u", "1 1e"), ("q", "1 abc nan"), ("u", "2 inf nan"),
+           ("u", "1"), ("q", "1 1 1"), ("u", "abc"), ("q", "1 1 nan"), ("q", "")]
+    VALID = [("u", "1 inf"), ("u", "1e400 2"), ("q", "+1 -0.0"), ("q", "1_0 ١"),
+             ("u", "2.5 1E3"), ("q", "-1e-320 7")]
+
+    @staticmethod
+    def _both(text, monkeypatch):
+        got = _bits(parse_qpb, text)
+        monkeypatch.setattr(qpb, "_parse_reals", _reals_by_loop)
+        return got, _bits(parse_qpb, text)
+
+    @pytest.mark.parametrize("key, record", BAD)
+    def test_bad_record_raises_the_loop_error(self, key, record, monkeypatch):
+        got, want = self._both(_with_record(key, record), monkeypatch)
+        assert got == want
+        assert got[0] is ParseError and got[2] == (3 if key == "q" else 4)
+
+    @pytest.mark.parametrize("key, record", VALID)
+    def test_valid_record_matches_the_loop(self, key, record, monkeypatch):
+        got, want = self._both(_with_record(key, record), monkeypatch)
+        assert got == want
+        assert len(got) == 4  # the storage bits, not an error

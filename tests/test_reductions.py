@@ -9,13 +9,13 @@ from pppa import (QpInstance, SolveOutcome, SymMatrix, build_parametric_vector,
                   preprocess_zero_diag, recession_check, reduce_nonpositive_row,
                   solve_sbar, solve_sbar_n1, solve_sbar_nk)
 from pppa import reductions
-from pppa.errors import (ClassificationFailed, InvariantViolation, NotApplicable, PppaError,
-                         PreconditionViolated, RecursionCapExceeded)
+from pppa.errors import (ClassificationFailed, GenerationFailed, InvariantViolation,
+                         NotApplicable, PppaError, PreconditionViolated, RecursionCapExceeded)
 from pppa.generate import GenSpec, gen_sbar_nk, gen_sbar_random
-from pppa.reductions import DropStep, FlipStep, ReductionTrace
+from pppa.reductions import DropStep, FixStep, FlipStep, ReductionTrace
 
-from helpers import (dense_of_band, dyadic_laplacian, make_instance, mixed_level_blocks,
-                     objectives_match, random_sbar)
+from helpers import (cyclic_family, dense_of_band, dyadic_laplacian, laplacian_bump,
+                     make_instance, mixed_level_blocks, objectives_match, random_sbar)
 
 
 class TestPreprocessZeroDiag:
@@ -307,7 +307,7 @@ class TestSolveSbarN1:
         out = solve_sbar_n1(inst)
         assert out.status == "optimal"
         assert out.x == pytest.approx(x_star, abs=1e-8)
-        assert out.stats.subproblems == 2 * 4 + 1
+        assert out.stats.subproblems == 1
 
     def test_unbounded_subproblem_propagates(self):
         m = np.zeros((3, 3))
@@ -437,6 +437,82 @@ class TestLinearTermConstancy:
 INTERIOR_CASES = [(n, deficit, repeat) for n in range(3, 9)
                   for deficit, repeat in ((0, False), (1, False), (1, True), (2, False))
                   if n >= 4 or not repeat]
+
+
+def _planted(n, k, seed):
+    for attempt in range(50):
+        try:
+            return gen_sbar_nk(GenSpec(family="sbar_nk", n=n, rho=0.6, seed=seed + 7 * attempt,
+                                       k=k))
+        except GenerationFailed:
+            continue
+    raise GenerationFailed(f"no planted k={k} n={n} instance near seed {seed}")
+
+
+def _driver_family(name):
+    """Instances of one family that reach the fixing driver, n <= 10."""
+    if name in ("planted-k1", "planted-k2"):
+        # A finite box: the oracle enumerates 3^n active sets, so n <= 8.
+        return [_planted(4 + seed % 5, int(name[-1]), seed) for seed in range(1, 11)]
+    if name == "interior":
+        # q = -M x* with x* > 0 and u = inf: the interior step answers.
+        rng = np.random.default_rng(18)
+        out = []
+        for n in range(3, 11):
+            m = _planted(n, 1, 40 + n).m
+            out.append(QpInstance(m, -m.matvec(rng.uniform(0.5, 2.0, size=n)),
+                                  np.full(n, np.inf)))
+        return out
+    if name == "bump":
+        rng = np.random.default_rng(19)
+        out = []
+        while len(out) < 10:
+            inst = laplacian_bump(rng, 4 + len(out) % 7)
+            if inst is not None:
+                out.append(inst)
+        return out
+    return [inst for n in range(3, 11)
+            for inst in cyclic_family(n, seeds=range(2), fractions=(0.0,))]
+
+
+class TestFixingDriverOrder:
+    """The fixing driver certifies first (interior step, then the ray) and
+    enumerates its bound fixes after; its answers are the oracle's."""
+
+    @pytest.mark.parametrize("family", ["planted-k1", "planted-k2", "interior", "bump",
+                                        "cyclic-f0"])
+    def test_agrees_with_the_oracle(self, family):
+        for inst in _driver_family(family):
+            level = class_level(inst.m)
+            assert level in (1, 2)
+            out = solve_sbar_nk(inst, level, check=True)
+            ref = enumerate_active_sets(inst)
+            assert out.status == ref.status
+            if out.status == "optimal":
+                assert objectives_match(out.objective, ref.objective)
+            else:
+                assert recession_check(inst, out.ray)
+            assert out.stats.subproblems <= 2 * inst.n + 1
+            if family in ("interior", "bump"):
+                # One interior step, and for the bump the ray right after it.
+                assert out.status == ("optimal" if family == "interior" else "unbounded")
+                assert out.stats.subproblems == 1
+
+    def test_a_full_rank_block_fixes_the_most_violated_bound_first(self, monkeypatch):
+        # x0 = -M^{-1} q has x0_2 < 0, the only broken bound: its lower fix runs
+        # first and certifies, so the solve takes the interior step and one fix.
+        a = np.full((4, 4), 0.45)
+        np.fill_diagonal(a, 1.0)
+        x0 = np.array([0.5, 0.6, -0.4, 0.55])
+        inst = make_instance(a, -(a @ x0), np.full(4, 2.0))
+        fixed = []
+        real = reductions._lift_outcome
+        monkeypatch.setattr(reductions, "_lift_outcome",
+                            lambda step, out: fixed.append(step) or real(step, out))
+        out = solve_sbar_nk(inst, 1)
+        assert [(s.i, s.value) for s in fixed if isinstance(s, FixStep)] == [(2, 0.0)]
+        assert out.stats.subproblems == 2
+        assert objectives_match(out.objective, enumerate_active_sets(inst).objective)
 
 
 def _linprog_feasible(a, q, u):
