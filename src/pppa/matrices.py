@@ -307,11 +307,9 @@ def _banded_pd(diag: np.ndarray, sub: np.ndarray, tol_abs: float) -> bool:
 def definiteness(m, psd_tol: float = TOL_PSD, pd_tol: float = TOL_PIVOT) -> tuple[bool, bool]:
     """The psd and pd verdicts at ``psd_tol`` and ``pd_tol`` from one factorization.
 
-    Dense input is factored once, stopped at the smaller threshold.
-    The psd test cuts that factor at its first pivot ``<= psd_tol *
-    scale``, which is where a factorization stopped at that threshold
-    would end, and accepts when the block left there is within ``10 *
-    psd_tol * scale``.  pd requires every pivot above ``pd_tol * scale``.
+    Dense input is factored once, stopped at the smaller threshold; the
+    psd verdict is :func:`_factor_is_psd` at ``psd_tol * scale``.  pd
+    requires every pivot above ``pd_tol * scale``.
     """
     m = as_sym(m)
     if m.n == 0:
@@ -321,13 +319,23 @@ def definiteness(m, psd_tol: float = TOL_PSD, pd_tol: float = TOL_PIVOT) -> tupl
         d, e = m.band()
         return _banded_psd(d, e, psd_abs), _banded_pd(d, e, pd_abs)
     a = m.full()
-    l, perm, rank = _pivoted_cholesky(a, min(psd_abs, pd_abs))
-    pivots = np.diagonal(l)[:rank] ** 2
-    pd = rank == m.n and bool(np.all(pivots > pd_abs))
-    small = np.flatnonzero(pivots <= psd_abs)
+    chol = _pivoted_cholesky(a, min(psd_abs, pd_abs))
+    l, _, rank = chol
+    pd = rank == m.n and bool(np.all(np.diagonal(l)[:rank] ** 2 > pd_abs))
+    return _factor_is_psd(a, chol, psd_abs), pd
+
+
+def _factor_is_psd(a: np.ndarray, chol, psd_abs: float) -> bool:
+    """The psd verdict on ``a`` from its pivoted Cholesky ``chol``, stopped at or below ``psd_abs``.
+
+    The factor is cut at its first pivot ``<= psd_abs``, where a
+    factorization stopped at that threshold would end, and the block
+    left there must be within ``10 * psd_abs``.
+    """
+    l, perm, rank = chol
+    small = np.flatnonzero(np.diagonal(l)[:rank] ** 2 <= psd_abs)
     remaining = _trailing_block(a, l, perm, int(small[0]) if small.size else rank)
-    psd = bool(np.all(np.abs(remaining) <= 10.0 * psd_abs))
-    return psd, pd
+    return bool(np.all(np.abs(remaining) <= 10.0 * psd_abs))
 
 
 def is_psd(m) -> bool:

@@ -9,10 +9,11 @@ reduced problem lift back to the original coordinates.
 
 The level-k driver splits M into irreducible blocks and classifies each
 block once: a comparison-psd block goes to the pivoting driver.  Any
-other block certifies before it enumerates: it tries the interior
-stationary point (a two-variable linear feasibility check), then a
-recession ray, and only then fixes one variable at each bound, solves
-the reduced problems one level down and tests the bound certificates.
+other block must be psd, and certifies before it enumerates: it tries
+the interior stationary point (linear feasibility in the at most two
+variables its pivoted Cholesky leaves), then a recession ray, and only
+then fixes one variable at each bound, solves the reduced problems one
+level down and tests the bound certificates.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from .classify import (build_parametric_vector, class_level, find_dominance_vect
 from .errors import (ClassificationFailed, InvariantViolation, NotApplicable,
                      PreconditionViolated, RecursionCapExceeded)
 from .matrices import (SymMatrix, as_sym, comparison_matrix,
-                       irreducible_components, _pivoted_cholesky)
+                       irreducible_components, _factor_is_psd, _pivoted_cholesky)
 from .oracle import find_recession_direction, kkt_residual, recession_check
 from .pivoting import (OPTIMAL, UNBOUNDED, QpInstance, SolveOutcome, Stats, blocked_start,
                        solve_psd)
-from .tolerances import TOL_FM, TOL_KKT, TOL_LIFT_RAY, TOL_PIVOT, TOL_ZERO_ROW, kkt_threshold
+from .tolerances import (TOL_KKT, TOL_LIFT_RAY, TOL_PIVOT, TOL_PSD, TOL_ZERO_ROW,
+                         kkt_threshold)
 
 K_CAP = 3
 
@@ -100,7 +102,6 @@ class FlipStep:
 class ReductionTrace:
     """Ordered log of reductions; replaying in reverse lifts solutions."""
 
-    original_n: int
     steps: list = field(default_factory=list)
 
     def lift_point(self, x: np.ndarray) -> np.ndarray:
@@ -261,7 +262,7 @@ def _resolve_sbar(instance: QpInstance, anchor: float, q_tol: float, stats: Stat
     block the driver was entered with, so roundoff left by a Schur-complement
     chain registers as zero.  A zero-diagonal variable is unbounded when its
     cost is below ``-q_tol``."""
-    trace = ReductionTrace(original_n=instance.n)
+    trace = ReductionTrace()
     work = instance
     cached_d = None
     budget = 3 * max(instance.n, 1) + 3
@@ -337,80 +338,25 @@ def _fm_interval(coeffs: np.ndarray, rhs: np.ndarray, tol: float):
     return lo, hi
 
 
-def fm_feasibility_2var(eq_a, eq_b, ineq_a=None, ineq_b=None,
-                        lower=None, upper=None, tol: float = TOL_FM):
-    """Feasible point of a <=2-variable linear system, or None.
+def fm_feasibility_2var(g, h):
+    """A point x with g @ x <= h in at most two variables, or None.
 
-    Solves eq_a @ x = eq_b, ineq_a @ x <= ineq_b, lower <= x <= upper by
-    rank splitting: a unique equality solution is checked directly, a
-    one-dimensional solution set becomes an interval intersection, and
-    with no effective equalities the variables are eliminated one at a
-    time Fourier-Motzkin style.
+    Each row is scaled by its largest coefficient (at least 1) and may
+    be broken by TOL_KKT.  One variable is an interval intersection;
+    with two, the second is eliminated Fourier-Motzkin style, the first
+    picked from its interval and the second back-substituted.
     """
-    eq_a = np.atleast_2d(np.asarray(eq_a, dtype=float))
-    eq_b = np.atleast_1d(np.asarray(eq_b, dtype=float))
-    nv = eq_a.shape[1]
+    g = np.asarray(g, dtype=float)
+    h = np.asarray(h, dtype=float)
+    nv = g.shape[1]
     if nv > 2:
         raise ValueError("feasibility check supports at most 2 variables")
-    rows = [] if ineq_a is None else [np.atleast_2d(np.asarray(ineq_a, dtype=float))]
-    rhs = [] if ineq_b is None else [np.atleast_1d(np.asarray(ineq_b, dtype=float))]
-    eye = np.eye(nv)
-    if lower is not None:
-        lower = np.asarray(lower, dtype=float)
-        finite = np.isfinite(lower)
-        if np.any(finite):
-            rows.append(-eye[finite])
-            rhs.append(-lower[finite])
-    if upper is not None:
-        upper = np.asarray(upper, dtype=float)
-        finite = np.isfinite(upper)
-        if np.any(finite):
-            rows.append(eye[finite])
-            rhs.append(upper[finite])
-    g = np.vstack(rows) if rows else np.zeros((0, nv))
-    h = np.concatenate(rhs) if rhs else np.zeros(0)
-    # Normalize rows so the slack tolerance is meaningful everywhere.
-    if g.shape[0]:
-        norms = np.maximum(np.max(np.abs(g), axis=1), 1.0)
-        g = g / norms[:, None]
-        h = h / norms
-
-    if eq_a.shape[0]:
-        sv = np.linalg.svd(eq_a, compute_uv=False)
-        rank_tol = max(tol * float(sv[0]) if sv.size else tol, 1e-13)
-        rank = int(np.sum(sv > rank_tol))
-    else:
-        rank = 0
-    eq_scale = 1.0 + float(np.max(np.abs(eq_b), initial=0.0))
-
-    if rank == nv:
-        x0, *_ = np.linalg.lstsq(eq_a, eq_b, rcond=None)
-        if float(np.max(np.abs(eq_a @ x0 - eq_b), initial=0.0)) > tol * eq_scale:
-            return None
-        if g.shape[0] and float(np.max(g @ x0 - h, initial=0.0)) > tol * eq_scale:
-            return None
-        return x0
-
-    if rank > 0:
-        x0, *_ = np.linalg.lstsq(eq_a, eq_b, rcond=None)
-        if float(np.max(np.abs(eq_a @ x0 - eq_b), initial=0.0)) > tol * eq_scale:
-            return None
-        _, _, vt = np.linalg.svd(eq_a)
-        v = vt[rank:].T  # null-space basis, nv - rank columns
-        # For nv <= 2 and rank >= 1 the null space is a single line.
-        vdir = v[:, 0]
-        interval = _fm_interval(g @ vdir if g.shape[0] else np.zeros(0),
-                                h - g @ x0 if g.shape[0] else np.zeros(0),
-                                tol * eq_scale)
-        if interval is None:
-            return None
-        t = _fm_pick_in_interval(*interval)
-        return x0 + t * vdir
-
-    if np.max(np.abs(eq_b), initial=0.0) > tol * eq_scale:
-        return None
+    norms = np.maximum(np.max(np.abs(g), axis=1, initial=0.0), 1.0)
+    g = g / norms[:, None]
+    h = h / norms
+    tol = TOL_KKT
     if nv == 0:
-        return np.zeros(0)
+        return None if np.any(h < -tol) else np.zeros(0)
     if nv == 1:
         interval = _fm_interval(g[:, 0], h, tol)
         if interval is None:
@@ -449,47 +395,56 @@ def fm_feasibility_2var(eq_a, eq_b, ineq_a=None, ineq_b=None,
 
 def _interior_block(instance: QpInstance):
     """Feasible solution of q + Mx = 0, 0 <= x <= u on one block, or None,
-    and the factorization ``(l, perm, rank)`` of M it came from.
+    and x0 = -M^{-1} q when M is nonsingular, else None.
 
-    One pivoted Cholesky of M picks alpha, its first n-2 pivots (a
-    positive definite block by construction), and leaves the other two
-    indices beta to a two-variable feasibility check.  Below rank n-2
-    the solution set is wider than two variables and the answer is None.
+    One pivoted Cholesky of M decides the block.  A block that is not
+    psd by the rule of :func:`definiteness` raises
+    :class:`ClassificationFailed`.  On a psd block alpha, the pivots the
+    factorization eliminated, is positive definite, and the Schur block
+    on the other indices beta is zero at M's scale, so x_beta is free:
+    the beta rows of q + Mx = 0 must hold at x_alpha = -M_aa^{-1} q_a to
+    the KKT threshold, and 0 <= x <= u becomes inequality rows in
+    x_beta.  With more than two indices left the answer is None.
     """
     m, q, u = instance.m, instance.q, instance.u
     n = m.n
-    a = m.full()
-    chol = _pivoted_cholesky(a, TOL_PIVOT * m.scale())
-    if n <= 2:
-        return fm_feasibility_2var(a, -q, lower=np.zeros(n), upper=u, tol=TOL_KKT), chol
+    a, scale = m.full(), m.scale()
+    chol = _pivoted_cholesky(a, TOL_PIVOT * scale)
+    if not _factor_is_psd(a, chol, TOL_PSD * scale):
+        raise ClassificationFailed(f"classification_failed: a block of order {n} beyond "
+                                   "level 0 is not psd")
     l, perm, rank = chol
     if rank < n - 2:
-        return None, chol
-    alpha, beta = perm[:n - 2], perm[n - 2:]
-    factor = (l[:n - 2, :n - 2], True)
+        return None, None
+    alpha, beta = perm[:rank], perm[rank:]
+    factor = (l[:rank, :rank], True)
     mab = a[np.ix_(alpha, beta)]
     sol_q = scipy.linalg.cho_solve(factor, q[alpha], check_finite=False)
     sol_b = scipy.linalg.cho_solve(factor, mab, check_finite=False)
-    # At rank n-2 the factorization found the Schur block on beta zero at M's
-    # scale; the subtraction would leave roundoff for the check to misjudge.
-    eq_a = a[np.ix_(beta, beta)] - mab.T @ sol_b if rank > n - 2 else np.zeros((2, 2))
-    eq_b = -(q[beta] - mab.T @ sol_q)
-    # 0 <= -Maa^{-1}(q_a + Mab x_b) <= u_a  becomes two banks of rows.
-    g = np.vstack([sol_b, -sol_b])
-    h = np.concatenate([-sol_q, u[alpha] + sol_q])
+    x0 = None
+    if rank == n:
+        x0 = np.empty(n)
+        x0[perm] = -sol_q
+    if np.any(np.abs(q[beta] - mab.T @ sol_q) > kkt_threshold(q)):
+        return None, x0
+    # 0 <= -M_aa^{-1}(q_a + M_ab x_b) <= u_a and 0 <= x_b <= u_b as rows g x_b <= h.
+    eye = np.eye(n - rank)
+    g = np.vstack([sol_b, -sol_b, -eye, eye])
+    h = np.concatenate([-sol_q, u[alpha] + sol_q, np.zeros(n - rank), u[beta]])
     finite = np.isfinite(h)
-    x_beta = fm_feasibility_2var(eq_a, eq_b, g[finite], h[finite],
-                                 lower=np.zeros(2), upper=u[beta], tol=TOL_KKT)
+    x_beta = fm_feasibility_2var(g[finite], h[finite])
     if x_beta is None:
-        return None, chol
+        return None, x0
     x = np.empty(n)
     x[beta] = x_beta
     x[alpha] = -(sol_q + sol_b @ x_beta)
-    return np.minimum(np.maximum(x, 0.0), u), chol
+    return np.minimum(np.maximum(x, 0.0), u), x0
 
 
 def interior_solution(instance: QpInstance) -> np.ndarray | None:
-    """Solve q + Mx = 0 with 0 <= x <= u blockwise; None when infeasible."""
+    """Solve q + Mx = 0 with 0 <= x <= u blockwise; None when infeasible.
+
+    A block that is not psd raises :class:`ClassificationFailed`."""
     blocks = irreducible_components(instance.m)
     x = np.empty(instance.n)
     for blk in blocks:
@@ -507,13 +462,15 @@ def interior_solution(instance: QpInstance) -> np.ndarray | None:
 def _fixing_driver(instance: QpInstance, subsolve, stats: Stats) -> SolveOutcome:
     """Certify before enumerating; counts into ``stats``.
 
-    One pivoted Cholesky of the block serves all three stages.  The
-    interior step comes first (a feasible stationary x of a convex block
-    is optimal) and counts as one subproblem.  A ray can exist only on a
-    singular block with an infinite bound, so only there is the recession
-    direction sought next.  Then each variable is fixed at each bound and
-    the reduced problem solved one level down, until a bound certificate
-    holds.  On a full-rank block the fixes go in order of how far
+    One pivoted Cholesky of the block, made by :func:`_interior_block`,
+    decides it: a block that is not psd is refused with
+    :class:`ClassificationFailed`, since the certificates below prove
+    optimality only for a convex block.  The interior step comes first (a
+    feasible stationary x of a convex block is optimal) and counts as one
+    subproblem.  A ray can exist only on a singular block with an
+    infinite bound, so only there is the recession direction sought
+    next.  Then each variable is fixed at each bound and the reduced
+    problem solved one level down, until a bound certificate holds.  On a full-rank block the fixes go in order of how far
     x0 = -M^{-1} q breaks their bound (violated bounds first, stable);
     a singular block keeps index order.  At most 2n+1 subproblems.
     """
@@ -522,19 +479,17 @@ def _fixing_driver(instance: QpInstance, subsolve, stats: Stats) -> SolveOutcome
     if n == 0:
         return SolveOutcome(status=OPTIMAL, x=np.zeros(0))
     stats.subproblems += 1
-    x, (l, perm, rank) = _interior_block(instance)
+    x, x0 = _interior_block(instance)
     if x is not None:
         return SolveOutcome(status=OPTIMAL, x=x)
-    ray_tried = rank < n and not np.all(np.isfinite(u))
+    ray_tried = x0 is None and not np.all(np.isfinite(u))
     if ray_tried:
         d = find_recession_direction(instance)
         if d is not None:
             return SolveOutcome(status=UNBOUNDED, ray=d)
     fixes = [(i, upper) for i in range(n) for upper in (False, True)
              if not upper or np.isfinite(u[i])]
-    if rank == n:
-        x0 = np.empty(n)
-        x0[perm] = -scipy.linalg.cho_solve((l, True), q[perm], check_finite=False)
+    if x0 is not None:
         below, above = np.maximum(-x0, 0.0), np.maximum(x0 - u, 0.0)
         fixes.sort(key=lambda fix: -(above if fix[1] else below)[fix[0]])
     tol_cert = kkt_threshold(q)
@@ -570,9 +525,10 @@ def solve_sbar_nk(instance: QpInstance, k: int, *, check: bool = False) -> Solve
     its ``class_level`` up to k, or it raises :class:`ClassificationFailed`.
     A level-0 block goes to the pivoting driver, anchored at the block's own
     scale (the blocks are independent problems); any other block goes to
-    the fixing driver, which tries the interior point and a recession ray
-    before it fixes one variable at each bound and solves those
-    subproblems one level down.
+    the fixing driver, which refuses a block that is not psd with
+    :class:`ClassificationFailed` and tries the interior point and a
+    recession ray before it fixes one variable at each bound and solves
+    those subproblems one level down.
     Every block and subproblem judges a zero-diagonal ray at the q scale of
     ``instance``, as :func:`recession_check` judges the ray it returns.
 

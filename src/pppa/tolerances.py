@@ -56,9 +56,6 @@ TOL_ZERO_ROW = 1e-8
 # Absolute floor of the eigenvalue threshold that picks a kernel basis.
 TOL_KERNEL_FLOOR = 1e-12
 
-# Default slack of the two-variable Fourier-Motzkin feasibility check.
-TOL_FM = 1e-9
-
 _SCALE_FLOOR = 1e-30
 
 

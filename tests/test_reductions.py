@@ -5,7 +5,7 @@ from scipy.optimize import linprog
 from pppa import (QpInstance, SolveOutcome, SymMatrix, build_parametric_vector,
                   class_level, comparison_matrix, enumerate_active_sets,
                   find_dominance_vector, flip_variable, fm_feasibility_2var,
-                  interior_solution, is_in_sbar_plus, is_pd, kkt_residual,
+                  interior_solution, is_in_sbar_plus, is_pd, is_psd, kkt_residual,
                   preprocess_zero_diag, recession_check, reduce_nonpositive_row,
                   solve_sbar, solve_sbar_n1, solve_sbar_nk)
 from pppa import reductions
@@ -151,7 +151,7 @@ class TestReductionTrace:
                 assert objectives_match(out.objective, ref.objective)
 
     def test_manual_lift_composition(self):
-        trace = ReductionTrace(original_n=3)
+        trace = ReductionTrace()
         trace.steps.append(DropStep(i=1, row=np.array([-1.0, 0.0]), m_ii=2.0, q_i=-4.0))
         x = np.array([3.0, 5.0])
         lifted = trace.lift_point(x)
@@ -207,64 +207,47 @@ class TestSolveSbar:
 
 
 class TestFmFeasibility:
-    def test_unique_solution_inside_bounds(self):
-        x = fm_feasibility_2var(np.eye(2), np.array([1.0, 1.0]),
-                                lower=np.zeros(2), upper=np.array([2.0, 2.0]))
-        assert x == pytest.approx([1.0, 1.0])
-
-    def test_unique_solution_violating_bounds(self):
-        x = fm_feasibility_2var(np.eye(2), np.array([3.0, 1.0]),
-                                lower=np.zeros(2), upper=np.array([2.0, 2.0]))
-        assert x is None
-
-    def test_singular_line_matches_scan_oracle(self):
-        # Independent oracle: walk a fine grid along the exact solution
-        # line of the rank-1 system and test box membership directly.
-        rng = np.random.default_rng(5)
-        for _ in range(60):
-            v = rng.uniform(-1, 1, size=2)
-            eq_a = np.outer(rng.uniform(0.2, 1.0, size=2) * np.sign(rng.uniform(-1, 1, size=2)), v)
-            consistent = rng.random() < 0.7
-            if consistent:
-                x_star = rng.uniform(-1.0, 3.0, size=2)
-                eq_b = eq_a @ x_star
-            else:
-                eq_b = rng.uniform(0.5, 1.0, size=2) * np.array([1.0, -1.0])
-                if np.linalg.matrix_rank(np.column_stack([eq_a, eq_b]), tol=1e-10) == 1:
-                    continue
-            upper = rng.uniform(0.5, 2.5, size=2)
-            got = fm_feasibility_2var(eq_a, eq_b, lower=np.zeros(2), upper=upper)
-
-            x0, *_ = np.linalg.lstsq(eq_a, eq_b, rcond=None)
-            if np.max(np.abs(eq_a @ x0 - eq_b)) > 1e-9 * (1 + np.max(np.abs(eq_b))):
-                scan_feasible = False  # inconsistent system
-            else:
-                _, _, vt = np.linalg.svd(eq_a)
-                direction = vt[-1]
-                span = 2.0 + float(np.max(upper)) + float(np.max(np.abs(x0)))
-                ts = np.linspace(-span, span, 20001)
-                pts = x0[None, :] + ts[:, None] * direction[None, :]
-                inside = np.all(pts >= -1e-9, axis=1) & np.all(pts <= upper + 1e-9, axis=1)
-                scan_feasible = bool(np.any(inside))
-            if got is not None:
-                assert np.all(got >= -1e-9) and np.all(got <= upper + 1e-9)
-                assert np.max(np.abs(eq_a @ got - eq_b)) <= 1e-7 * (1 + np.max(np.abs(eq_b)))
-            else:
-                assert not scan_feasible
-
     def test_inequality_only_two_vars(self):
-        g = np.array([[1.0, 1.0], [-1.0, 0.0]])
-        h = np.array([2.0, -0.5])
-        x = fm_feasibility_2var(np.zeros((1, 2)), np.zeros(1), g, h,
-                                lower=np.zeros(2), upper=np.array([np.inf, np.inf]))
+        # x0 >= 0.5, x0 + x1 <= 2, and x >= 0.
+        g = np.array([[1.0, 1.0], [-1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+        h = np.array([2.0, -0.5, 0.0, 0.0])
+        x = fm_feasibility_2var(g, h)
         assert x is not None
         assert x[0] >= 0.5 - 1e-9 and x.sum() <= 2 + 1e-9
 
     def test_infeasible_inequalities(self):
         g = np.array([[1.0, 0.0], [-1.0, 0.0]])
         h = np.array([1.0, -2.0])
-        x = fm_feasibility_2var(np.zeros((1, 2)), np.zeros(1), g, h)
+        x = fm_feasibility_2var(g, h)
         assert x is None
+
+    @pytest.mark.parametrize("nv", [1, 2])
+    def test_matches_linprog_margin_reference(self, nv):
+        # Reference: the largest t with g x + t <= h over rows scaled as the
+        # check scales them.  Systems within 1e-6 of the feasibility boundary
+        # are skipped, so roundoff cannot decide the verdict.
+        rng = np.random.default_rng(40 + nv)
+        decided = []
+        for _ in range(150):
+            rows = int(rng.integers(2, 7))
+            g = rng.uniform(-2.0, 2.0, size=(rows, nv))
+            h = rng.uniform(-1.0, 1.0, size=rows)
+            norms = np.maximum(np.max(np.abs(g), axis=1), 1.0)
+            res = linprog(np.append(np.zeros(nv), -1.0),
+                          A_ub=np.column_stack([g / norms[:, None], np.ones(rows)]),
+                          b_ub=h / norms, bounds=[(None, None)] * nv + [(None, 1.0)],
+                          method="highs")
+            assert res.status == 0
+            margin = -res.fun
+            if abs(margin) <= 1e-6:
+                continue
+            x = fm_feasibility_2var(g, h)
+            assert (x is not None) == (margin > 0)
+            if x is not None:
+                assert x.shape == (nv,)
+                assert np.all(g @ x - h <= 1e-8 * norms)
+            decided.append(margin > 0)
+        assert 0 < sum(decided) < len(decided)
 
 
 class TestSolveSbarN1:
@@ -434,9 +417,9 @@ class TestLinearTermConstancy:
         assert checked > 20
 
 
-INTERIOR_CASES = [(n, deficit, repeat) for n in range(3, 9)
+INTERIOR_CASES = [(n, deficit, repeat) for n in range(1, 9)
                   for deficit, repeat in ((0, False), (1, False), (1, True), (2, False))
-                  if n >= 4 or not repeat]
+                  if deficit <= n and (n >= 4 or not repeat)]
 
 
 def _planted(n, k, seed):
@@ -651,6 +634,54 @@ def test_unchecked_matrix_outside_the_class_is_classification_failed():
     with pytest.raises(ClassificationFailed) as info:
         solve_sbar(inst, check=False)
     assert isinstance(info.value.__cause__, NotApplicable)
+
+
+def _random_symmetric(seed):
+    """n = 3..6, entries U(-1, 1) symmetrized, diagonal U(0.5, 2); u_i infinite with
+    probability 1/2, else U(0.5, 2).  About two in five of these are not psd."""
+    rng = np.random.default_rng(seed)
+    n = 3 + seed % 4
+    a = rng.uniform(-1.0, 1.0, (n, n))
+    a = (a + a.T) / 2.0
+    np.fill_diagonal(a, rng.uniform(0.5, 2.0, n))
+    q = rng.uniform(-1.0, 1.0, n)
+    u = np.where(rng.random(n) < 0.5, np.inf, rng.uniform(0.5, 2.0, n))
+    return make_instance(a, q, u)
+
+
+def test_a_block_that_is_not_psd_is_refused_on_its_own_factor(monkeypatch):
+    # The bound certificates prove optimality only on a convex block: without
+    # the psd verdict, unchecked level 1 answered 30 of the 126 non-psd
+    # matrices here "optimal", two of them (seeds 230 and 237) at a KKT point
+    # above the minimum.  The verdict reads the factor the interior step
+    # uses, so each fixing-driver call still factors its block once.
+    factors, drivers = [], []
+    chol, driver = reductions._pivoted_cholesky, reductions._fixing_driver
+    monkeypatch.setattr(reductions, "_pivoted_cholesky",
+                        lambda *args: factors.append(1) or chol(*args))
+    monkeypatch.setattr(reductions, "_fixing_driver",
+                        lambda *args: drivers.append(1) or driver(*args))
+    refused = solved = 0
+    for seed in range(300):
+        inst = _random_symmetric(seed)
+        if not is_psd(inst.m):
+            with pytest.raises(ClassificationFailed, match="^classification_failed:"):
+                solve_sbar_nk(inst, 1)
+            refused += 1
+            continue
+        try:
+            out = solve_sbar_nk(inst, 1)
+        except ClassificationFailed as exc:
+            # A level-0 subproblem outside the class, refused by the pivoting driver.
+            assert isinstance(exc.__cause__, NotApplicable)
+            continue
+        if out.status == "optimal":
+            ref = enumerate_active_sets(inst)
+            assert ref.status == "optimal"
+            assert objectives_match(out.objective, ref.objective), seed
+            solved += 1
+    assert refused == 126 and solved > 100
+    assert len(factors) == len(drivers) > 0
 
 
 @pytest.mark.parametrize("answer", [
