@@ -20,17 +20,41 @@ import numpy as np
 from pppa import GenSpec, gen_sbar_random, solve_sbar
 
 
+def _count(text: str) -> int:
+    """A positive integer, as an argparse type."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _counts(text: str) -> list:
+    """A non-empty comma-separated list of positive integers, as an argparse type."""
+    try:
+        values = [_count(t) for t in text.split(",") if t]
+    except argparse.ArgumentTypeError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of positive integers, got {text!r}")
+    return values
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--n-list", default="100,200,400,800,1600")
+    ap.add_argument("--n-list", type=_counts, default="100,200,400,800,1600")
     ap.add_argument("--rho", type=float, default=0.2)
-    ap.add_argument("--reps", type=int, default=5)
+    ap.add_argument("--reps", type=_count, default=5)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--csv", default=None, help="optionally write per-run rows")
     args = ap.parse_args(argv)
-
-    sizes = [int(t) for t in args.n_list.split(",") if t]
+    sizes = args.n_list
+    if len(set(sizes)) < 2:
+        ap.error("--n-list needs two different sizes to fit a line")
     rows = []
     means = []
     for n in sizes:

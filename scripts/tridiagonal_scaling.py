@@ -2,12 +2,14 @@
 """Timing study for the tridiagonal fast path.
 
 A solve makes about n pivots.  Each pivot re-solves a window of a few
-entries in Python floats and makes four O(n) selection passes in numpy,
-so the time per pivot is nearly flat up to n of a few thousand (the
-doubling ratio t(2n)/t(n) sits nearer 2 than 4) and grows linearly
-beyond, which makes the total quadratic in the limit.  The script
-prints, for each n, the best solve time and the time per pivot, and the
-ratio of the per-pivot times at the largest and the smallest n.
+entries in Python floats and makes two O(n) selection passes in numpy,
+one argmax per candidate array (pbar is scanned again only when a
+window covers its largest entry), so the time per pivot is nearly flat
+up to n of several thousand (the doubling ratio t(2n)/t(n) sits nearer
+2 than 4) and grows linearly beyond, which makes the total quadratic in
+the limit.  The script prints, for each n, the best solve time and the
+time per pivot, and the ratio of the per-pivot times at the largest and
+the smallest n.
 
 Example:
     python scripts/tridiagonal_scaling.py --n-list 1000,2000,4000 --reps 3
@@ -20,15 +22,38 @@ import time
 from pppa import GenSpec, gen_tridiagonal, solve_sbar
 
 
+def _count(text: str) -> int:
+    """A positive integer, as an argparse type."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _counts(text: str) -> list:
+    """A non-empty comma-separated list of positive integers, as an argparse type."""
+    try:
+        values = [_count(t) for t in text.split(",") if t]
+    except argparse.ArgumentTypeError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of positive integers, got {text!r}")
+    return values
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--n-list", default="1000,2000,4000")
-    ap.add_argument("--reps", type=int, default=3)
+    ap.add_argument("--n-list", type=_counts, default="1000,2000,4000")
+    ap.add_argument("--reps", type=_count, default=3)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
-    sizes = [int(t) for t in args.n_list.split(",") if t]
+    sizes = args.n_list
     solve_sbar(gen_tridiagonal(GenSpec(family="tridiagonal", n=200, seed=0)),
                check=False)  # warm-up
     best, per_pivot = {}, {}

@@ -38,8 +38,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+# 17 significant digits round-trip a float64; vectors are formatted from
+# one tolist(), as Python floats.
+_fmt = "{:.17g}".format
 
 
 def _tol(text: str) -> float:
@@ -105,10 +106,10 @@ def _cmd_solve(args) -> int:
         vector, label = out.ray, "ray"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(_fmt(v) for v in vector) + "\n")
+            fh.write("\n".join(map(_fmt, vector.tolist())) + "\n")
         print(line)
     else:
-        print(f"{line} {label}=" + ",".join(_fmt(v) for v in vector))
+        print(f"{line} {label}=" + ",".join(map(_fmt, vector.tolist())))
     if out.status == UNBOUNDED:
         return EXIT_UNBOUNDED
     if out.kkt_residual > kkt_threshold(instance.q, tol):
@@ -134,9 +135,9 @@ def _cmd_classify(args) -> int:
     print("blocks=" + ";".join(",".join(str(i + 1) for i in blk) for blk in report.blocks))
     print(f"k_level={report.k_level if report.k_level is not None else 'unknown'}")
     if report.d is not None:
-        print("d=" + ",".join(_fmt(v) for v in report.d))
+        print("d=" + ",".join(map(_fmt, report.d.tolist())))
     if report.p is not None:
-        print("p=" + ",".join(_fmt(v) for v in report.p))
+        print("p=" + ",".join(map(_fmt, report.p.tolist())))
     return EXIT_OPTIMAL
 
 

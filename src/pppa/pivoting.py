@@ -372,9 +372,13 @@ class _BandedBars:
     index beyond.  :meth:`update` recomputes just that window in Python
     floats, with the operations of ``compute_bars(factor=None)`` in the
     same order, so the bars stay bitwise equal to a full recomputation
-    with the same ``mug``: a window holds about five entries, too few to
-    repay the fixed cost of a numpy call.  The candidate arrays are
-    rebuilt over all n, in numpy, only when the ratio threshold moved.
+    with the same ``mug``: a window holds about six entries, too few to
+    repay the fixed cost of a numpy call, so single entries are read and
+    written through memoryviews of the arrays.  The ratio threshold
+    follows an index of the largest |pbar|, found again over all n only
+    when a window covers it.  The candidate arrays are rebuilt over all
+    n, in numpy, only when the threshold moved.  A pivot without either
+    costs a window of Python work and two argmax passes.
     """
 
     def __init__(self, instance: QpInstance, p: np.ndarray, state: ParamState):
@@ -390,9 +394,14 @@ class _BandedBars:
         self.qbar, self.pbar = state.qbar, state.pbar = np.empty(n), np.empty(n)
         self.xq, self.xp = [0.0] * n, [0.0] * n
         self.cand_b, self.cand_a = np.empty(n), np.empty(n)
+        # One entry through a memoryview is a Python scalar, several times
+        # faster to read or write than through numpy indexing.
+        self.lv, self.mv, self.qv, self.pv, self.bv, self.av = map(memoryview, (
+            self.labels, self.mug, self.qbar, self.pbar, self.cand_b, self.cand_a))
         self.threshold = np.nan
+        self.big = 0  # an index of the largest |pbar|; the first update covers it
         # Counts for flops(), kept by update() and ratio_test(): entries the last
-        # update re-solved, the [lo, hi) its bars covered, candidates rebuilt.
+        # update re-solved, its O(n) passes over pbar, candidates rebuilt.
         self.rebuilt = 0
         self.update(0, n - 1)
 
@@ -403,33 +412,43 @@ class _BandedBars:
         return self.dl[s]
 
     def update(self, lo: int, hi: int) -> None:
-        """Refresh xq, xp and the bars after a pivot that relabelled indices lo..hi."""
-        n = self.labels.size
+        """Refresh xq, xp, the bars and the largest |pbar| after a pivot that relabelled lo..hi."""
+        n, lv, mv = self.labels.size, self.lv, self.mv
         lo, hi = max(lo - 1, 0), min(hi + 2, n)
-        a, b = _widen_to_runs(self.labels, lo, hi)
+        a, b = lo, hi  # most windows end at labels off alpha and need no widening
+        if (a > 0 and lv[a - 1] == ALPHA) or (b < n and lv[b] == ALPHA):
+            a, b = _widen_to_runs(self.labels, a, b)
         w0, w1 = max(a - 1, 0), min(b + 1, n)
-        labels, mug = self.labels[w0:w1].tolist(), self.mug[w0:w1].tolist()
         d, e, q, p, xq, xp = self.dl, self.el, self.ql, self.pl, self.xq, self.xp
         # The widening crossed alpha alone, so [lo, hi) holds every other
-        # index of [a, b); the alpha runs lie between them.
-        cuts = [i for i in range(lo, hi) if labels[i - w0] != ALPHA]
-        for i in cuts:
-            xq[i] = xp[i] = 0.0
-        for s, t in zip([a - 1] + cuts, cuts + [b]):
-            s += 1
+        # index of [a, b), the cuts; each alpha run [s, t) ends at one, or at b.
+        cuts, s = [], a
+        for t in range(lo, hi + 1):
+            if t == hi:
+                t = b
+            elif lv[t] == ALPHA:
+                continue
+            else:
+                cuts.append(t)
+                xq[t] = xp[t] = 0.0
             if t - s == 1:
                 pivot = self._pivot(s)
-                xq[s], xp[s] = (q[s] + mug[s - w0]) / pivot, p[s] / pivot
+                xq[s], xp[s] = (q[s] + mv[s]) / pivot, p[s] / pivot
             elif t > s:
                 rhs = np.empty((t - s, 2))
                 np.add(self.q[s:t], self.mug[s:t], out=rhs[:, 0])
                 rhs[:, 1] = self.p[s:t]
                 xq[s:t], xp[s:t] = tridiag_run_solve(self.d, self.e, s, t, rhs,
                                                      self.tol_abs).T.tolist()
-        # The bars are x on alpha.  Off alpha, SymMatrix.matvec's order:
-        # d*x, then + e*x[+1], then + e*x[-1].
-        qbar, pbar = xq[w0:w1], xp[w0:w1]
-        for i in ([a - 1] if a > 0 else []) + cuts + ([b] if b < n else []):
+            s = t + 1
+        # The bars are x on alpha.  Off alpha (the cuts, a - 1 and b),
+        # SymMatrix.matvec's order: d*x, then + e*x[+1], then + e*x[-1].
+        if a > 0:
+            cuts.append(a - 1)
+        if b < n:
+            cuts.append(b)
+        qw, pw = xq[w0:w1], xp[w0:w1]
+        for i in cuts:
             yq, yp = d[i] * xq[i], d[i] * xp[i]
             if i < n - 1:
                 yq += e[i] * xq[i + 1]
@@ -437,27 +456,44 @@ class _BandedBars:
             if i >= 1:
                 yq += e[i - 1] * xq[i - 1]
                 yp += e[i - 1] * xp[i - 1]
-            qbar[i - w0], pbar[i - w0] = (q[i] + mug[i - w0]) - yq, p[i] - yp
-        self.qbar[w0:w1], self.pbar[w0:w1] = qbar, pbar
-        self.solved, self.window, self.window_bars = b - a, (w0, w1), (labels, qbar, pbar)
+            qw[i - w0], pw[i - w0] = (q[i] + mv[i]) - yq, p[i] - yp
+        qv, pv = self.qv, self.pv
+        for i, qb, pb in zip(range(w0, w1), qw, pw):
+            qv[i] = qb
+            pv[i] = pb
+        # Outside the window pbar is unchanged, so the largest |pbar| is the
+        # kept one or the window's own, unless the window held the kept one.
+        big, self.scans = self.big, 0
+        if w0 <= big < w1:
+            top, bottom = int(self.pbar.argmax()), int(self.pbar.argmin())
+            self.big = top if pv[top] >= -pv[bottom] else bottom
+            self.scans = 2
+        else:
+            top, bottom, kept = max(pw), min(pw), abs(pv[big])
+            if top > kept or -bottom > kept:
+                self.big = w0 + (pw.index(top) if top >= -bottom else pw.index(bottom))
+        self.solved, self.window, self.window_bars = b - a, (w0, w1), (qw, pw)
 
     def ratio_test(self, tau_eps: float):
         """``ratio_test_tau`` on the current bars; candidates outside the window are reused."""
-        pbar = self.pbar
-        threshold = TOL_RATIO * max(float(pbar.max()), -float(pbar.min()))
+        threshold = TOL_RATIO * abs(self.pv[self.big])
         if threshold == self.threshold:
-            (lo, hi), (labels, qw, pw) = self.window, self.window_bars
+            (w0, w1), (qw, pw) = self.window, self.window_bars
+            lv, ul, bv, av, none = self.lv, self.ul, self.bv, self.av, -math.inf
             # _ratio_candidates' quotients, entry by entry.
-            self.cand_b[lo:hi] = [-qb / pb if pb > threshold and label == BETA else -math.inf
-                                  for label, qb, pb in zip(labels, qw, pw)]
-            self.cand_a[lo:hi] = [-(ub + qb) / pb if pb > threshold and label == ALPHA
-                                  else -math.inf
-                                  for label, qb, pb, ub in zip(labels, qw, pw, self.ul[lo:hi])]
-            self.rebuilt = hi - lo
+            for i, qb, pb in zip(range(w0, w1), qw, pw):
+                if pb > threshold:
+                    label = lv[i]
+                    bv[i] = -qb / pb if label == BETA else none
+                    av[i] = -(ul[i] + qb) / pb if label == ALPHA else none
+                else:
+                    bv[i] = av[i] = none
+            self.rebuilt = w1 - w0
         else:
-            self.cand_b, self.cand_a = _ratio_candidates(self.labels, self.qbar, pbar, self.u,
-                                                         threshold)
-            self.rebuilt = pbar.size
+            self.cand_b, self.cand_a = _ratio_candidates(self.labels, self.qbar, self.pbar,
+                                                         self.u, threshold)
+            self.bv, self.av = memoryview(self.cand_b), memoryview(self.cand_a)
+            self.rebuilt = self.labels.size
         self.threshold = threshold
         return _select(self.cand_b, self.cand_a, tau_eps)
 
@@ -471,7 +507,7 @@ class _BandedBars:
         labels = self.labels
         for nb in (i - 1, i + 1):
             c = self.el[min(nb, i)] if 0 <= nb < labels.size else 0.0
-            if c != 0.0 and labels[nb] == ALPHA:
+            if c != 0.0 and self.lv[nb] == ALPHA:
                 s, t = _widen_to_runs(labels, nb, nb + 1)
                 if t - s == 1:
                     yield nb, s, t, [c / self._pivot(s)]
@@ -498,10 +534,11 @@ class _BandedBars:
 
     def flops(self) -> int:
         # Entries touched: two columns of x re-solved and two bars on the
-        # window, two candidate arrays rebuilt, and four selection passes
-        # over n (max and min of pbar, one argmax per candidate array).
-        lo, hi = self.window
-        return 2 * (self.solved + (hi - lo) + self.rebuilt) + 4 * self.labels.size
+        # window, two candidate arrays rebuilt, and the passes over n: one
+        # argmax per candidate array, and argmax and argmin of pbar when the
+        # window held its largest |pbar|.
+        w0, w1 = self.window
+        return 2 * (self.solved + (w1 - w0) + self.rebuilt) + (2 + self.scans) * self.labels.size
 
 
 class _DenseBars:

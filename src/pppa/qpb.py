@@ -42,10 +42,9 @@ _LOOP_ONLY = "#\r\x0b\x0c\x1c\x1d\x1e"
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
-def _fmt(v: float) -> str:
-    if np.isposinf(v):
-        return "inf"
-    return f"{v:.17g}"
+def _reals(v: np.ndarray) -> str:
+    """The entries of ``v`` with 17 significant digits, space-separated; inf is ``inf``."""
+    return " ".join(map("{:.17g}".format, v.tolist()))
 
 
 def write_qpb(instance: QpInstance, header: dict | None = None) -> str:
@@ -59,20 +58,23 @@ def write_qpb(instance: QpInstance, header: dict | None = None) -> str:
     out.write(f"structure {'tridiagonal' if instance.m.tridiagonal else 'dense'}\n")
     n = instance.n
     out.write(f"n {n}\n")
-    out.write("q " + " ".join(_fmt(v) for v in instance.q) + "\n")
-    out.write("u " + " ".join(_fmt(v) for v in instance.u) + "\n")
+    out.write(f"q {_reals(instance.q)}\n")
+    out.write(f"u {_reals(instance.u)}\n")
     if instance.m.tridiagonal:
+        # Row by row: (i, i) then (i, i + 1), so the band interleaved.
         diag, sub = instance.m.band()
-        triplets = [(i, i, diag[i]) for i in range(n) if diag[i] != 0.0]
-        triplets += [(i, i + 1, sub[i]) for i in range(n - 1) if sub[i] != 0.0]
-        triplets.sort()
+        band = np.arange(max(2 * n - 1, 0))
+        rows, cols, vals = band // 2, (band + 1) // 2, np.empty(band.size)
+        vals[0::2], vals[1::2] = diag, sub
     else:
         a = instance.m.full()
         rows, cols = np.nonzero(np.triu(a))
-        triplets = [(int(i), int(j), a[i, j]) for i, j in zip(rows, cols)]
-    out.write(f"m {len(triplets)}\n")
-    for i, j, v in triplets:
-        out.write(f"{i + 1} {j + 1} {_fmt(v)}\n")
+        vals = a[rows, cols]
+    keep = vals != 0.0
+    rows, cols, vals = rows[keep] + 1, cols[keep] + 1, vals[keep]
+    out.write(f"m {vals.size}\n")
+    out.write("".join([f"{i} {j} {v:.17g}\n"
+                       for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist())]))
     return out.getvalue()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pppa import QpInstance, SymMatrix, classify, load_qpb, save_qpb
+from pppa import QpInstance, SolveOutcome, SymMatrix, classify, load_qpb, save_qpb
 from pppa import cli, oracle, reductions
 from pppa.cli import main
 
@@ -94,6 +95,39 @@ def test_classify_output(tmp_path, capsys):
     assert "is_sbar_plus=true" in out
     assert "k_level=0" in out
     assert "d=" in out and "p=" in out
+
+
+# Entries whose 17-digit text is easy to get wrong: a signed zero, the
+# smallest subnormal, a value near overflow, and a sum that 17 digits tell apart.
+ODD = np.array([-0.0, 5e-324, 1e308, 0.1 + 0.2])
+ODD_TEXT = ["-0", "4.9406564584124654e-324", "1e+308", "0.30000000000000004"]
+
+
+@pytest.mark.parametrize("status", ["optimal", "unbounded"])
+def test_solve_vector_digits(tmp_path, capsys, monkeypatch, status):
+    assert ODD_TEXT == [f"{v:.17g}" for v in ODD.tolist()]
+    path = tmp_path / "i.qpb"
+    save_qpb(path, QpInstance(SymMatrix.from_dense(np.eye(4)), np.ones(4), np.ones(4)))
+    if status == "optimal":
+        out, label = SolveOutcome(status, x=ODD, objective=0.0, kkt_residual=0.0), "x"
+    else:
+        out, label = SolveOutcome(status, ray=ODD), "ray"
+    monkeypatch.setattr(cli, "solve_sbar_nk", lambda *args, **kwargs: out)
+    main(["solve", str(path)])
+    assert capsys.readouterr().out.split()[-1] == f"{label}=" + ",".join(ODD_TEXT)
+    dest = tmp_path / "v.txt"
+    main(["solve", str(path), "--out", str(dest)])
+    assert dest.read_text() == "\n".join(ODD_TEXT) + "\n"
+
+
+def test_classify_vector_digits(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "i.qpb"
+    save_qpb(path, QpInstance(SymMatrix.from_dense(np.eye(4)), np.ones(4), np.ones(4)))
+    report = dataclasses.replace(classify(SymMatrix.from_dense(np.eye(4))), d=ODD, p=ODD)
+    monkeypatch.setattr(cli, "classify", lambda *args, **kwargs: report)
+    assert main(["classify", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "d=" + ",".join(ODD_TEXT) in lines and "p=" + ",".join(ODD_TEXT) in lines
 
 
 def test_generate_header_round_trip(tmp_path):

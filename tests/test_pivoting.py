@@ -12,6 +12,7 @@ from pppa import (FactorState, GenSpec, ParamState, Partition, PivotDecision,
                   solution_at_tau, solve_pd, solve_psd, solve_sbar)
 from pppa.errors import PppaError, PreconditionViolated
 from pppa.pivoting import ALPHA, BETA, GAMMA, _BandedBars, _DenseBars
+from pppa.tolerances import TOL_RATIO
 
 from helpers import (banded_family, dense_of_band, make_instance, objectives_match, random_pd,
                      random_sbar)
@@ -538,7 +539,8 @@ class TestEngineContract:
 def test_banded_iteration_flops_count_one_window():
     # alpha = {9, 10}; 11 enters: the window 10..12 widens to 9..12 (the
     # run 9..11 and index 12), the bars cover 8..13 and, the largest |pbar|
-    # staying at index 0, the candidates are rebuilt there alone.
+    # staying at index 0, the candidates are rebuilt there alone and pbar
+    # is not scanned: the only passes over n are the two argmax of the selection.
     n = 20
     d = np.full(n, 3.0)
     e = np.full(n - 1, -1.0)
@@ -554,7 +556,7 @@ def test_banded_iteration_flops_count_one_window():
     bars.refresh(PivotDecision(kind="from_lower", i_bar=11))
     bars.ratio_test(0.0)
     assert (bars.solved, bars.window, bars.rebuilt) == (4, (8, 14), 6)
-    assert bars.flops() == 2 * (4 + 6 + 6) + 4 * n
+    assert bars.flops() == 2 * (4 + 6 + 6) + 2 * n
     qbar, pbar = compute_bars(inst, part, p, None, mug=mug)
     assert bars.qbar.tobytes() == qbar.tobytes() and bars.pbar.tobytes() == pbar.tobytes()
     fresh = _BandedBars(inst, p, _state(part, [], [], mug=mug))
@@ -603,6 +605,20 @@ class TestBandedBarsRelabel:
     # Every pbar <= threshold: no candidate, an optimal ratio test.
     @example(([2.0] * 4, [0.3] * 3, [1.0] * 4, [-1.0] * 4, [math.inf] * 4, [BETA] * 4,
               [(3, ALPHA), (0, ALPHA, 3, BETA)]))
+    # Uncoupled, so pbar_i is p_i off alpha and p_i / 2 on it.  The largest
+    # |pbar| is p_3 = 2 and falls to 1 when 3 enters alpha: the window 1..5
+    # holds it, and only a scan of pbar finds the new largest, p_7 = 1.5.
+    @example(([2.0] * 8, [0.0] * 7, [-1.0] * 8, [1.0, 0.5, 0.5, 2.0, 0.5, 0.5, 0.5, 1.5],
+              [1.0] * 8, [BETA] * 8, [(3, ALPHA)]))
+    # The largest |pbar| is p_0 = 2 until 7 leaves alpha: its pbar grows
+    # from 1.5 to 3 in the window 5..7, away from the kept index.
+    @example(([2.0] * 8, [0.0] * 7, [-1.0] * 8, [2.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 3.0],
+              [1.0] * 8, [BETA] * 7 + [ALPHA], [(7, BETA)]))
+    # The same two with the largest |pbar| at the most negative pbar.
+    @example(([2.0] * 8, [0.0] * 7, [1.0] * 8, [-1.0, -0.5, -0.5, -2.0, -0.5, -0.5, -0.5, -1.5],
+              [1.0] * 8, [BETA] * 8, [(3, ALPHA)]))
+    @example(([2.0] * 8, [0.0] * 7, [1.0] * 8, [-2.0, -0.5, -0.5, -0.5, -0.5, -0.5, -0.5, -3.0],
+              [1.0] * 8, [BETA] * 7 + [ALPHA], [(7, BETA)]))
     def test_random_relabelings(self, walk):
         d, e, q, p, u, start, steps = walk
         inst = QpInstance(SymMatrix.from_banded(np.array(d), np.array(e)), q, u)
@@ -620,6 +636,7 @@ class TestBandedBarsRelabel:
             assert bars.qbar.tobytes() == qbar.tobytes()
             assert bars.pbar.tobytes() == pbar.tobytes()
             assert bars.ratio_test(0.0) == ratio_test_tau(_state(part, qbar, pbar), inst.u)
+            assert bars.threshold == TOL_RATIO * np.max(np.abs(pbar))
 
         relabel(enumerate(start))
         bars = _BandedBars(inst, p, _state(part, [], [], mug=mug))

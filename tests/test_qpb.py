@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pppa import GenSpec, QpInstance, SymMatrix, gen_sbar_random, parse_qpb, qpb, write_qpb
+from pppa import (GenSpec, QpInstance, SymMatrix, gen_sbar_random, gen_tridiagonal, parse_qpb, qpb,
+                  write_qpb)
 from pppa.errors import DuplicateEntry, IndexOutOfRange, ParseError, QpbError
 
 MINIMAL = """qpb 1
@@ -117,6 +118,61 @@ class TestRoundTrip:
         assert np.array_equal(back.m.full(), inst.m.full())
         assert np.array_equal(back.q, inst.q)
         assert np.array_equal(back.u, inst.u)
+
+
+def _write_qpb_by_triplet(instance, header=None):
+    """The per-triplet writer that write_qpb replaced, kept as its byte-level reference."""
+    def fmt(v):
+        return "inf" if np.isposinf(v) else f"{v:.17g}"
+
+    lines = ["qpb 1"]
+    header = header or {}
+    lines += [f"{key} {header[key]}" for key in ("family", "seed", "rho", "generator-id")
+              if key in header]
+    lines.append(f"structure {'tridiagonal' if instance.m.tridiagonal else 'dense'}")
+    n = instance.n
+    lines += [f"n {n}", "q " + " ".join(fmt(v) for v in instance.q),
+              "u " + " ".join(fmt(v) for v in instance.u)]
+    if instance.m.tridiagonal:
+        diag, sub = instance.m.band()
+        triplets = [(i, i, diag[i]) for i in range(n) if diag[i] != 0.0]
+        triplets += [(i, i + 1, sub[i]) for i in range(n - 1) if sub[i] != 0.0]
+        triplets.sort()
+    else:
+        a = instance.m.full()
+        rows, cols = np.nonzero(np.triu(a))
+        triplets = [(int(i), int(j), a[i, j]) for i, j in zip(rows, cols)]
+    lines.append(f"m {len(triplets)}")
+    lines += [f"{i + 1} {j + 1} {fmt(v)}" for i, j, v in triplets]
+    return "\n".join(lines) + "\n"
+
+
+class TestWriterBytes:
+    """write_qpb against the per-triplet loop it replaced, byte for byte."""
+
+    # -0.0, a subnormal, the largest double and a value 17 digits tell apart.
+    Q = [-0.0, 5e-324, -1.7976931348623157e308, 0.1 + 0.2, 1.0]
+
+    def test_dense(self):
+        inst = gen_sbar_random(GenSpec(family="sbar_random", n=40, rho=0.3, seed=7))
+        header = {"family": "sbar_random", "seed": 7, "rho": 0.3}
+        assert write_qpb(inst, header) == _write_qpb_by_triplet(inst, header)
+        a = inst.m.full()
+        a[0, 1] = a[1, 0] = -0.0
+        odd = QpInstance(SymMatrix.from_dense(a[:5, :5]), self.Q, [np.inf, 1.0, np.inf, 2.5, 1e-300])
+        assert write_qpb(odd) == _write_qpb_by_triplet(odd)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_tridiagonal_with_zero_couplings(self, n):
+        d = np.array([2.0, 0.0, 3.5, -0.0, 1e-310, 4.0, 2.0][:n])
+        e = np.array([-1.0, 0.0, -0.0, 0.25, 0.0, 7e-320][:n - 1])
+        inst = QpInstance(SymMatrix.from_banded(d, e), self.Q[:n] + [1.0] * (n - 5),
+                          ([np.inf, 3.0] * 4)[:n])
+        assert write_qpb(inst) == _write_qpb_by_triplet(inst)
+
+    def test_generated_tridiagonal(self):
+        inst = gen_tridiagonal(GenSpec(family="tridiagonal", n=300, seed=2))
+        assert write_qpb(inst, {"seed": 2}) == _write_qpb_by_triplet(inst, {"seed": 2})
 
 
 class TestBandedParse:
