@@ -14,7 +14,7 @@ from math import comb
 import numpy as np
 
 from .errors import NegativeComponent, NotApplicable, SingularPivot, TooLarge
-from .matrices import (SymMatrix, as_sym, comparison_matrix, definiteness,
+from .matrices import (BorderedSolves, SymMatrix, as_sym, comparison_matrix, definiteness,
                        irreducible_components, is_psd)
 from .tolerances import TOL_D_POSITIVE, TOL_KERNEL, TOL_PSD
 
@@ -36,7 +36,8 @@ def find_dominance_vector(mbar, scale: float | None = None) -> np.ndarray:
 
     Pins d_n = 1 and solves the first n-1 equations of mbar @ d = 0.
     A small full residual identifies the kernel vector; otherwise mbar
-    is nonsingular (hence positive definite) and d = mbar^{-1} 1.
+    is nonsingular (hence positive definite) and d = mbar^{-1} 1.  Both
+    solves come from one factorization (:class:`BorderedSolves`).
     Raises NotApplicable when the input fails these dichotomies, which
     for a symmetric Z-matrix means it is not psd-irreducible.
 
@@ -50,10 +51,9 @@ def find_dominance_vector(mbar, scale: float | None = None) -> np.ndarray:
         return np.zeros(0)
     if scale is None:
         scale = mbar.scale()
-    d = np.ones(n)
+    solves = BorderedSolves(mbar)
     try:
-        if n > 1:
-            d[:-1] = mbar.solve(np.arange(n - 1), -mbar.row(n - 1))
+        d = solves.kernel_candidate()
     except SingularPivot as exc:
         raise NotApplicable(f"leading principal block is not positive definite: {exc}") from exc
 
@@ -65,7 +65,7 @@ def find_dominance_vector(mbar, scale: float | None = None) -> np.ndarray:
 
     # Nonsingular case: d = mbar^{-1} 1 > 0 for a Stieltjes matrix.
     try:
-        d = mbar.solve(np.arange(n), np.ones(n))
+        d = solves.solve(np.ones(n))
     except SingularPivot as exc:
         raise NotApplicable(f"comparison matrix is not positive definite: {exc}") from exc
     if np.min(d) <= TOL_D_POSITIVE:

@@ -231,6 +231,63 @@ class SymMatrix:
         return SymMatrix(n=keep.size, _dense=a)
 
 
+def _not_pd(info: int) -> SingularPivot:
+    # scipy's cho_factor text, so callers read the same message either way.
+    return SingularPivot(f"{info}-th leading minor of the array is not positive definite")
+
+
+class BorderedSolves:
+    """Two solves with M from one factorization: its leading block and the whole.
+
+    :meth:`kernel_candidate` is y with y[-1] = 1 and M[:-1, :-1] y[:-1] =
+    -M[:-1, -1], M's kernel vector when M is singular with a positive
+    definite leading block; :meth:`solve` is M^{-1} rhs.  Dense storage
+    factors M once with LAPACK ``potrf``: the leading block's Cholesky
+    factor L11 is the leading part of M's, ``info`` says where the
+    factorization stopped, and with M = [[L11, 0], [l', *]] [[L11, 0],
+    [l', *]]' the first solve is y[:-1] = -L11^{-T} l, one triangular
+    solve of the bordered factor.  Banded storage runs
+    :func:`tridiag_solve` for each.  Both raise :class:`SingularPivot`
+    where the block they need is not positive definite.
+    """
+
+    def __init__(self, m: SymMatrix):
+        self.m = m
+        if not m.tridiagonal and m.n:
+            # M is exactly symmetric, so its transpose is M in Fortran order,
+            # which potrf copies without transposing.
+            self._chol, self._info = scipy.linalg.lapack.dpotrf(m.full().T, lower=1, clean=0)
+            if self._info < 0:
+                raise ValueError(f"illegal value in argument {-self._info} of potrf")
+
+    def kernel_candidate(self) -> np.ndarray:
+        m, n = self.m, self.m.n
+        y = np.zeros(n)
+        y[-1] = 1.0
+        if n < 2:
+            return y
+        if m.tridiagonal:
+            y[:-1] = m.solve(np.arange(n - 1), -m.row(n - 1))
+            return y
+        if 0 < self._info < n:
+            raise _not_pd(self._info)
+        # L' y = e_n with L's last diagonal entry set to 1 (potrf may have
+        # stopped there): y[-1] = 1 and L11' y[:-1] = -l.
+        chol = self._chol
+        last, chol[-1, -1] = chol[-1, -1], 1.0
+        y, _ = scipy.linalg.lapack.dtrtrs(chol, y, lower=1, trans=1)
+        chol[-1, -1] = last
+        return y
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        m = self.m
+        if m.tridiagonal or not m.n:
+            return m.solve(np.arange(m.n), rhs)
+        if self._info:
+            raise _not_pd(self._info)
+        return scipy.linalg.cho_solve((self._chol, True), rhs, check_finite=False)
+
+
 def as_sym(m) -> SymMatrix:
     """Coerce an array-like (or pass through a SymMatrix) to SymMatrix."""
     if isinstance(m, SymMatrix):

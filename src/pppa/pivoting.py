@@ -190,8 +190,9 @@ def compute_bars(instance: QpInstance, partition: Partition, p: np.ndarray,
     """Solve for (qbar, pbar): basic components via M_aa, nonbasic by substitution.
 
     ``mug`` may carry a precomputed M @ (u on gamma, 0 elsewhere).  With
-    a ``factor`` the nonbasic rows cost one M_Na product, (n-k)k work
-    per column; without one, M_aa is solved directly and M multiplied whole.
+    a ``factor`` the nonbasic rows cost one product with alpha's rows of
+    M, nk work per column; without one, M_aa is solved directly and M
+    multiplied whole.
     """
     m, q, u = instance.m, instance.q, instance.u
     if mug is None:
@@ -390,20 +391,32 @@ class _BandedBars:
             v.tolist() for v in (self.d, self.e, self.q, p, self.u))
         self.labels = state.partition.labels
         self.tol_abs = TOL_PIVOT * instance.m.scale()
-        # The engine owns qbar and pbar and updates them in place.
-        self.qbar, self.pbar = state.qbar, state.pbar = np.empty(n), np.empty(n)
+        # The engine owns qbar and pbar and updates them in place.  With x
+        # zero they are q + mug and p, exactly as compute_bars gives them.
+        self.qbar, self.pbar = state.qbar, state.pbar = self.q + self.mug, np.array(p, dtype=float)
         self.xq, self.xp = [0.0] * n, [0.0] * n
-        self.cand_b, self.cand_a = np.empty(n), np.empty(n)
+        top, bottom = int(self.pbar.argmax()), int(self.pbar.argmin())
+        self.big = top if self.pbar[top] >= -self.pbar[bottom] else bottom  # an index of the largest |pbar|
         # One entry through a memoryview is a Python scalar, several times
         # faster to read or write than through numpy indexing.
-        self.lv, self.mv, self.qv, self.pv, self.bv, self.av = map(memoryview, (
-            self.labels, self.mug, self.qbar, self.pbar, self.cand_b, self.cand_a))
-        self.threshold = np.nan
-        self.big = 0  # an index of the largest |pbar|; the first update covers it
+        self.lv, self.mv, self.qv, self.pv = map(memoryview, (
+            self.labels, self.mug, self.qbar, self.pbar))
+        alpha = np.flatnonzero(self.labels == ALPHA)
+        solved = 0
+        if alpha.size:
+            self.update(int(alpha[0]), int(alpha[-1]))
+            solved = self.solved + self.window[1] - self.window[0]
+        self.threshold = TOL_RATIO * abs(self.pv[self.big])
+        self.cand_b, self.cand_a = _ratio_candidates(self.labels, self.qbar, self.pbar,
+                                                     self.u, self.threshold)
+        self.bv, self.av = memoryview(self.cand_b), memoryview(self.cand_a)
+        # The construction: qbar, pbar, both candidate arrays and the pbar
+        # extremes over all n, and the alpha runs re-solved if alpha is not empty.
+        self.setup_flops = 6 * n + 2 * solved
         # Counts for flops(), kept by update() and ratio_test(): entries the last
-        # update re-solved, its O(n) passes over pbar, candidates rebuilt.
-        self.rebuilt = 0
-        self.update(0, n - 1)
+        # update re-solved, its window and O(n) passes over pbar, candidates
+        # rebuilt.  The first ratio test finds every candidate built.
+        self.solved, self.window, self.window_bars, self.scans, self.rebuilt = 0, (0, 0), ([], []), 0, 0
 
     def _pivot(self, s: int) -> float:
         """d[s], the pivot of a one-index run, tested as ``tridiag_run_solve`` tests it."""
@@ -541,22 +554,78 @@ class _BandedBars:
         return 2 * (self.solved + (w1 - w0) + self.rebuilt) + (2 + self.scans) * self.labels.size
 
 
+def _ratio_shift(labels: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """What the one-array ratio test adds to qbar: u on alpha, +inf on gamma, 0 on beta."""
+    return np.where(labels == ALPHA, u, np.where(labels == GAMMA, np.inf, 0.0))
+
+
+def _ratio_test_one_array(labels, qbar, pbar, shift, tau_eps: float, quot=None, rising=None):
+    """``ratio_test_tau`` with one quotient array: the same (tau_new, kind, i_bar).
+
+    ``quot`` holds (qbar + shift)/pbar where pbar exceeds the threshold
+    TOL_RATIO * max|pbar|, +inf elsewhere, so argmin finds the largest
+    -(qbar + u_alpha)/pbar; gamma's +inf shift gives no candidate.  An
+    exact tie between beta and alpha goes to beta: when argmin lands on
+    alpha, one more pass looks for an equal beta entry past it.  ``quot``
+    and ``rising`` are optional length-n work arrays.
+    """
+    if pbar.size == 0:
+        return 0.0, "optimal", None
+    top, bottom = np.maximum.reduce(pbar), -np.minimum.reduce(pbar)
+    threshold = TOL_RATIO * float(top if top >= bottom else bottom)
+    if quot is None:
+        quot = np.empty(pbar.shape)
+    if -bottom > threshold:
+        # Every pbar exceeds the threshold, as along a dense class path:
+        # the same quotients without the masks, which cost several times more.
+        np.add(qbar, shift, out=quot)
+        np.divide(quot, pbar, out=quot)
+    else:
+        rising = np.greater(pbar, threshold, out=rising)
+        quot.fill(np.inf)
+        np.add(qbar, shift, out=quot, where=rising)
+        np.divide(quot, pbar, out=quot, where=rising)
+    i = int(quot.argmin())
+    best = float(quot[i])
+    tau_new = -best if best < 0.0 else 0.0
+    if tau_new <= tau_eps:
+        return 0.0, "optimal", None
+    if labels[i] == BETA:
+        return tau_new, "from_lower", i
+    for j in (quot[i + 1:] == best).nonzero()[0].tolist():
+        if labels[i + 1 + j] == BETA:
+            return tau_new, "from_lower", i + 1 + j
+    return tau_new, "to_upper", i
+
+
 class _DenseBars:
     """The dense bar engine: :class:`_BandedBars`' five methods over a :class:`FactorState`.
 
-    The bars are recomputed from the factor at every ratio test, and
-    :meth:`refresh` moves the pivoted indices in and out of the factor.
+    The bars are recomputed from the factor at every ratio test into
+    arrays the engine owns, and :meth:`refresh` moves the pivoted indices
+    in and out of the factor and keeps ``rhs`` (the rows q + mug and p)
+    and the ratio test's shift in step with the labels.
     """
 
     def __init__(self, instance: QpInstance, p: np.ndarray, state: ParamState):
-        self.instance, self.p, self.state = instance, p, state
+        n, labels = instance.n, state.partition.labels
+        self.instance, self.state, self.n = instance, state, n
         self.factor = state.factor = FactorState.for_alpha(instance.m, state.partition.alpha)
+        self.rhs = np.empty((2, n))
+        np.add(instance.q, state.mug, out=self.rhs[0])
+        self.rhs[1] = p
+        self.bars = np.empty((2, n))
+        state.qbar, state.pbar = self.bars
+        self.shift = _ratio_shift(labels, instance.u)
+        self.quot, self.rising = np.empty(n), np.empty(n, dtype=bool)
+        # The two rhs rows and the shift, and the factor's k^3 inversion.
+        k = self.factor.k
+        self.setup_flops = 3 * n + k ** 3
 
     def ratio_test(self, tau_eps: float):
-        st = self.state
-        st.qbar, st.pbar = compute_bars(self.instance, st.partition, self.p, self.factor,
-                                        mug=st.mug)
-        return ratio_test_tau(st, self.instance.u, tau_eps)
+        qbar, pbar = self.factor.bars(self.rhs.T, out=self.bars)
+        return _ratio_test_one_array(self.state.partition.labels, qbar, pbar, self.shift,
+                                     tau_eps, self.quot, self.rising)
 
     def border(self, i: int) -> tuple[np.ndarray, float]:
         return self.factor.border(i)
@@ -567,18 +636,25 @@ class _DenseBars:
     def refresh(self, decision: PivotDecision) -> None:
         # j_bar leaves alpha before i_bar enters it.  Only a 'from_lower'
         # pivot carries mhat: an exchange changes the alpha it was formed against.
-        factor, stats = self.factor, self.state.stats
+        factor, stats, labels = self.factor, self.state.stats, self.state.partition.labels
+        u, shift = self.instance.u, self.shift
+        i, j = decision.i_bar, decision.j_bar
+        for idx in (i,) if j is None else (i, j):
+            # _ratio_shift at one index: 0 on BETA, u on ALPHA, +inf on GAMMA.
+            shift[idx] = (0.0, u[idx], np.inf)[labels[idx]]
+        if decision.kind in _TO_GAMMA:
+            np.add(self.instance.q, self.state.mug, out=self.rhs[0])
         if decision.kind == "to_upper":
-            _factor_step(factor, decision.i_bar, "remove", None, stats)
-        if decision.j_bar is not None:
-            _factor_step(factor, decision.j_bar, "remove", None, stats)
-        if self.state.partition.labels[decision.i_bar] == ALPHA:
-            _factor_step(factor, decision.i_bar, "add", decision.mhat, stats)
+            _factor_step(factor, i, "remove", None, stats)
+        if j is not None:
+            _factor_step(factor, j, "remove", None, stats)
+        if labels[i] == ALPHA:
+            _factor_step(factor, i, "add", decision.mhat, stats)
 
     def flops(self) -> int:
         # Two bar columns of k^2 + (n-k)k multiply-adds each (4nk flops), the
         # factor's column solve and rank-one update (4k^2), O(n) vector work.
-        n, k = self.instance.n, self.factor.k
+        n, k = self.n, self.factor.k
         return 4 * n * k + 4 * k * k + 8 * n
 
 
@@ -627,6 +703,7 @@ def solve_psd(instance: QpInstance, p, *, callback=None,
     cap = max(3 * n, 4)
     tau_eps = None
     engine = (_BandedBars if m.tridiagonal else _DenseBars)(instance, p, state)
+    stats.flops += engine.setup_flops  # counted, but not as an iteration
 
     while True:
         tau_new, kind, i_bar = engine.ratio_test(tau_eps or 0.0)

@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pppa import (SymMatrix, build_parametric_vector, class_level, classify,
                   comparison_matrix, find_dominance_vector, irreducible_components,
                   is_in_sbar_plus, is_psd, is_sbar_nk, is_z_matrix)
 from pppa.errors import NegativeComponent, NotApplicable, TooLarge
+from pppa.tolerances import TOL_D_POSITIVE, TOL_KERNEL
 from pppa.generate import GenSpec, gen_sbar_nk, gen_sbar_random, gen_tridiagonal
 
 from helpers import random_sbar, random_symmetric, random_z_psd
@@ -65,6 +67,49 @@ class TestFindDominanceVector:
             d_banded = find_dominance_vector(m)
             d_dense = find_dominance_vector(SymMatrix.from_dense(m.full()))
             assert d_banded == pytest.approx(d_dense, rel=1e-9)
+
+    def test_one_factorization_decides_as_two_solves_do(self):
+        # The reference factors the leading block and the whole matrix
+        # separately; the one bordered factorization must reach the same
+        # branch, the same NotApplicable text and the same d.
+        def two_solves(a):
+            n = a.shape[0]
+            d = np.ones(n)
+            try:
+                if n > 1:
+                    c = scipy.linalg.cho_factor(a[:-1, :-1], lower=True, check_finite=False)
+                    d[:-1] = scipy.linalg.cho_solve(c, -a[:-1, -1], check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                return f"leading principal block is not positive definite: {exc}"
+            tol = TOL_KERNEL * SymMatrix.from_dense(a).scale() * max(1.0, np.max(np.abs(d)))
+            if np.max(np.abs(a @ d)) <= tol:
+                return d if np.min(d) > TOL_D_POSITIVE else \
+                    "kernel vector of the comparison matrix is not positive"
+            try:
+                d = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), np.ones(n))
+            except np.linalg.LinAlgError as exc:
+                return f"comparison matrix is not positive definite: {exc}"
+            return d if np.min(d) > TOL_D_POSITIVE else "solved dominance vector is not positive"
+
+        rng = np.random.default_rng(9)
+        branches = set()
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            a = random_z_psd(rng, n).full().copy()
+            a[np.diag_indices(n)] += rng.choice([0.0, 0.0, -0.3, -2.0]) * rng.random(n)
+            expected = two_solves(a)
+            try:
+                got = find_dominance_vector(a)
+            except NotApplicable as exc:
+                got = str(exc)
+            if isinstance(expected, str):
+                branches.add(expected.split(":")[0])
+                assert got == expected
+            else:
+                branches.add("kernel" if np.max(np.abs(a @ expected)) <= 1e-9 * n else "solve")
+                assert got == pytest.approx(expected, rel=1e-10)
+        assert {"kernel", "solve", "leading principal block is not positive definite",
+                "comparison matrix is not positive definite"} <= branches
 
     def test_equivalence_with_psd_over_z_matrices(self):
         # psd <=> a positive dominance vector exists, checked per block.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pppa import (FactorState, GenSpec, ParamState, Partition, PivotDecision,
-                  QpInstance, Stats, SymMatrix, apply_pivot, compute_bars,
+                  QpInstance, Stats, SymMatrix, apply_pivot, build_parametric_vector,
+                  comparison_matrix, compute_bars, find_dominance_vector,
                   enumerate_active_sets, gen_sbar_random, gen_tridiagonal, kkt_residual,
                   ratio_test_tau, recession_check, reductions, second_ratio_test,
                   solution_at_tau, solve_pd, solve_psd, solve_sbar)
 from pppa.errors import PppaError, PreconditionViolated
-from pppa.pivoting import ALPHA, BETA, GAMMA, _BandedBars, _DenseBars
+from pppa.pivoting import (ALPHA, BETA, GAMMA, _BandedBars, _DenseBars, _ratio_shift,
+                           _ratio_test_one_array)
 from pppa.tolerances import TOL_RATIO
 
 from helpers import (banded_family, dense_of_band, make_instance, objectives_match, random_pd,
@@ -424,6 +427,72 @@ def test_dense_iteration_flops_count_the_alpha_kernels():
     # factor's column solve and rank-one update, 8n for the vector work;
     # a full n x n product per column would charge 4n^2 = 1_440_000 alone.
     assert engine.flops() == 720_000 + 360_000 + 4_800
+
+
+@st.composite
+def _ratio_states(draw):
+    # Few quarter-integer values give exact ties between beta and alpha
+    # quotients; zero and negative pbar, infinite u and gamma labels all occur.
+    n = draw(st.integers(1, 8))
+
+    def vector(values):
+        return draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+
+    return (vector([BETA, ALPHA, GAMMA]), vector([-1.0, -0.75, -0.5, -0.25, 0.0, 0.5]),
+            vector([-0.5, 0.0, 0.5, 1.0]), vector([0.25, 0.5, np.inf]),
+            draw(st.sampled_from([0.0, 0.25])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ratio_states())
+# An alpha quotient ties a later beta one: beta wins, also past a second alpha.
+@example(([ALPHA, BETA], [-1.0, -0.5], [1.0, 1.0], [0.5, 0.5], 0.0))
+@example(([ALPHA, ALPHA, GAMMA, BETA], [-1.0, -1.0, -1.0, -0.5], [1.0] * 4,
+          [0.5, 0.5, 0.5, np.inf], 0.0))
+# Below the threshold pbar gives no candidate, even with the best quotient.
+@example(([BETA, BETA], [-1.0, -0.5], [0.0, 0.5], [0.5, 0.5], 0.0))
+def test_one_array_ratio_test_matches_ratio_test_tau(case):
+    labels, qbar, pbar, u, tau_eps = case
+    labels, qbar, pbar, u = (np.array(labels, dtype=np.int8), np.array(qbar), np.array(pbar),
+                             np.array(u))
+    expected = ratio_test_tau(_state(Partition(labels=labels), qbar, pbar), u, tau_eps)
+    got = _ratio_test_one_array(labels, qbar, pbar, _ratio_shift(labels, u), tau_eps)
+    assert got == expected
+
+
+def test_dense_engine_pivots_as_ratio_test_tau():
+    # Along whole dense solves the engine's kept shift and bars choose the
+    # pivot a fresh ratio_test_tau chooses on the same state.
+    checked = 0
+    for seed in range(4):
+        inst = gen_sbar_random(GenSpec(family="sbar_random", n=60, rho=0.3, seed=seed))
+        p = build_parametric_vector(inst.m, find_dominance_vector(comparison_matrix(inst.m)))
+
+        def watch(state, tau_new, decision, inst=inst):
+            nonlocal checked
+            if decision is not None:
+                tau, _, i_bar = ratio_test_tau(state, inst.u)
+                assert (tau, i_bar) == (tau_new, decision.i_bar)
+                checked += 1
+
+        assert solve_psd(inst, p, callback=watch).status == "optimal"
+    assert checked > 100
+
+
+def test_dense_solve_allocates_less_than_half_a_matrix():
+    # The factor holds alpha's rows of M and a k x k inverse, not an n x n
+    # copy of M or an n x n inverse buffer.
+    n = 600
+    inst = gen_sbar_random(GenSpec(family="sbar_random", n=n, rho=0.2, seed=3))
+    p = build_parametric_vector(inst.m, find_dominance_vector(comparison_matrix(inst.m)))
+    tracemalloc.start()
+    try:
+        out = solve_psd(inst, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.status == "optimal"
+    assert peak < n * n * 8 / 2
 
 
 class TestBandedAgainstDense:
