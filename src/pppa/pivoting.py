@@ -186,22 +186,18 @@ class PivotDecision:
 
 
 def compute_bars(instance: QpInstance, partition: Partition, p: np.ndarray,
-                 factor=None, mug: np.ndarray | None = None):
+                 mug: np.ndarray | None = None):
     """Solve for (qbar, pbar): basic components via M_aa, nonbasic by substitution.
 
-    ``mug`` may carry a precomputed M @ (u on gamma, 0 elsewhere).  With
-    a ``factor`` the nonbasic rows cost one product with alpha's rows of
-    M, nk work per column; without one, M_aa is solved directly and M
-    multiplied whole.
+    The reference the bar engines are tested against: M_aa is solved
+    directly and M multiplied whole.  ``mug`` may carry a precomputed
+    M @ (u on gamma, 0 elsewhere).
     """
     m, q, u = instance.m, instance.q, instance.u
     if mug is None:
         mug = m.matvec(np.where(partition.labels == GAMMA, u, 0.0))
     p = np.asarray(p, dtype=float)
     rhs = np.column_stack([q + mug, p])
-    if factor is not None:
-        qbar, pbar = factor.bars(rhs)
-        return qbar, pbar
     alpha = partition.alpha
     sol = np.zeros_like(rhs)
     if alpha.size:
@@ -371,7 +367,7 @@ class _BandedBars:
     ``mug`` only within one index of them, changes them only on the alpha
     runs that meet [lo-1, hi+1] and the bars only on those runs and one
     index beyond.  :meth:`update` recomputes just that window in Python
-    floats, with the operations of ``compute_bars(factor=None)`` in the
+    floats, with the operations of ``compute_bars`` in the
     same order, so the bars stay bitwise equal to a full recomputation
     with the same ``mug``: a window holds about six entries, too few to
     repay the fixed cost of a numpy call, so single entries are read and
@@ -575,16 +571,10 @@ def _ratio_test_one_array(labels, qbar, pbar, shift, tau_eps: float, quot=None, 
     threshold = TOL_RATIO * float(top if top >= bottom else bottom)
     if quot is None:
         quot = np.empty(pbar.shape)
-    if -bottom > threshold:
-        # Every pbar exceeds the threshold, as along a dense class path:
-        # the same quotients without the masks, which cost several times more.
-        np.add(qbar, shift, out=quot)
-        np.divide(quot, pbar, out=quot)
-    else:
-        rising = np.greater(pbar, threshold, out=rising)
-        quot.fill(np.inf)
-        np.add(qbar, shift, out=quot, where=rising)
-        np.divide(quot, pbar, out=quot, where=rising)
+    rising = np.greater(pbar, threshold, out=rising)
+    quot.fill(np.inf)
+    np.add(qbar, shift, out=quot, where=rising)
+    np.divide(quot, pbar, out=quot, where=rising)
     i = int(quot.argmin())
     best = float(quot[i])
     tau_new = -best if best < 0.0 else 0.0

@@ -64,8 +64,9 @@ class TestComputeBars:
                              gamma=tuple(np.flatnonzero(labels == 2)))
             p = rng.uniform(0, 2, size=n)
             direct = compute_bars(inst, part, p)
+            mug = m.matvec(np.where(part.labels == GAMMA, u, 0.0))
             factor = FactorState.for_alpha(m, part.alpha)
-            via_factor = compute_bars(inst, part, p, factor)
+            via_factor = factor.bars(np.column_stack([inst.q + mug, p]))
             assert direct[0] == pytest.approx(via_factor[0], abs=1e-9)
             assert direct[1] == pytest.approx(via_factor[1], abs=1e-9)
 
@@ -542,7 +543,7 @@ def _bars_watch(instance, p, seen):
     """A callback that checks the in-place bars against a full recomputation
     and the pivot the kept candidates chose against a fresh ratio test."""
     def watch(state, tau_new, decision):
-        qbar, pbar = compute_bars(instance, state.partition, p, None, mug=state.mug)
+        qbar, pbar = compute_bars(instance, state.partition, p, mug=state.mug)
         assert state.qbar.tobytes() == qbar.tobytes()
         assert state.pbar.tobytes() == pbar.tobytes()
         if decision is not None:
@@ -553,7 +554,7 @@ def _bars_watch(instance, p, seen):
 
 
 class TestBandedBarsInvariant:
-    """At every callback the run-local bars equal compute_bars(factor=None) bitwise."""
+    """At every callback the run-local bars equal compute_bars bitwise."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 1000])
     def test_tridiagonal(self, monkeypatch, n):
@@ -626,7 +627,7 @@ def test_banded_iteration_flops_count_one_window():
     bars.ratio_test(0.0)
     assert (bars.solved, bars.window, bars.rebuilt) == (4, (8, 14), 6)
     assert bars.flops() == 2 * (4 + 6 + 6) + 2 * n
-    qbar, pbar = compute_bars(inst, part, p, None, mug=mug)
+    qbar, pbar = compute_bars(inst, part, p, mug=mug)
     assert bars.qbar.tobytes() == qbar.tobytes() and bars.pbar.tobytes() == pbar.tobytes()
     fresh = _BandedBars(inst, p, _state(part, [], [], mug=mug))
     fresh.ratio_test(0.0)
@@ -701,7 +702,7 @@ class TestBandedBarsRelabel:
             mug[:] = inst.m.matvec(np.where(labels == GAMMA, inst.u, 0.0))
 
         def check():
-            qbar, pbar = compute_bars(inst, part, p, None, mug=mug)
+            qbar, pbar = compute_bars(inst, part, p, mug=mug)
             assert bars.qbar.tobytes() == qbar.tobytes()
             assert bars.pbar.tobytes() == pbar.tobytes()
             assert bars.ratio_test(0.0) == ratio_test_tau(_state(part, qbar, pbar), inst.u)
